@@ -1,7 +1,7 @@
 """Manufactured-solution refinement study.
 
-A forcing term is constructed symbolically so that a chosen closed-form
-unit field solves the forced equation exactly; refining the mesh (with the
+A closed-form forcing term is chosen so that a closed-form unit field
+solves the forced equation exactly; refining the mesh (with the
 time step tied to it) then reveals the order of accuracy directly.  With
 dt = h^2 both error norms fall at second order; with dt ~ h at first.
 

@@ -35,9 +35,7 @@ from .stepper import (
 from .diagnostics import (
     ExactSolution,
     ErrorRecord,
-    error_norms,
     skyrmion_number,
-    invariant_suite,
 )
 from .exact import manufactured_solution
 

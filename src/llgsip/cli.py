@@ -56,44 +56,39 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a caller may substitute a cmd_* function
+    cmd = globals()[f"cmd_{args.command}"]
+    kwargs = {"resume": args.resume} if args.command == "skyrmion" else {}
     try:
         config = parse_config(args.config, overrides=args.override)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if config.experiment != args.command:
-        print(
-            f"config describes experiment {config.experiment!r}, "
-            f"but subcommand is {args.command!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.out is not None:
-        config.out_dir = args.out
-
-    if args.command == "converge":
-        result = cmd_converge(config)
-        print(format_error_table(result.records))
-    elif args.command == "dissipate":
-        result = cmd_dissipate(config)
-        for gamma, series in result.energies.items():
-            print(f"gamma={gamma:g}: E0={series[0][2]:.6e} -> E={series[-1][2]:.6e}")
-        for gamma, step, rise in result.violations:
+        if config.experiment != args.command:
             print(
-                f"energy rose by {rise:.3e} at step {step} (gamma={gamma:g})",
+                f"config describes experiment {config.experiment!r}, "
+                f"but subcommand is {args.command!r}",
                 file=sys.stderr,
             )
+            return 2
+        if args.out is not None:
+            config.out_dir = args.out
+        result = cmd(config, **kwargs)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.command == "converge":
+        print(format_error_table(result.records))
+    elif args.command == "dissipate":
+        for gamma, series in result.energies.items():
+            print(f"gamma={gamma:g}: E0={series[0][2]:.6e} -> E={series[-1][2]:.6e}")
     elif args.command == "blowup":
-        result = cmd_blowup(config)
         print(f"wrote {len(result.snapshots)} snapshots")
-        for step, rise in result.violations:
-            print(f"energy rose by {rise:.3e} at step {step}", file=sys.stderr)
     else:
-        result = cmd_skyrmion(config, resume=args.resume)
         status = "steady" if result.steady else "budget exhausted"
         print(f"{status}; Q = {result.charge:.4f}; state -> {result.snapshot_path}")
-        for step, rise in result.violations:
-            print(f"energy rose by {rise:.3e} at step {step}", file=sys.stderr)
+    # dissipate tags each violation with its gamma: (gamma, step, rise)
+    for *gamma, step, rise in getattr(result, "violations", ()):
+        where = f" (gamma={gamma[0]:g})" if gamma else ""
+        print(f"energy rose by {rise:.3e} at step {step}{where}", file=sys.stderr)
 
     return 0 if result.ok else 1
 

@@ -1,4 +1,4 @@
-"""Error norms, skyrmion number and the scheme-invariant check suite."""
+"""Streaming error norms, skyrmion number and the scheme-invariant checks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effective_field import exchange_energy
+from .effective_field import UnsupportedConfigurationError, exchange_energy
 from .grid import (
     VectorField,
     array_central_difference,
@@ -16,7 +16,6 @@ from .grid import (
     grad_l2_norm,
     _node_weights,
 )
-from .effective_field import UnsupportedConfigurationError
 
 
 @dataclass
@@ -82,28 +81,6 @@ class ErrorAccumulator:
         return math.sqrt(self.sum_h1_sq)
 
 
-def error_norms(times, fields, exact: ExactSolution, dt, level=None) -> ErrorRecord:
-    """Error norms from an explicit (time, field) history.
-
-    For long runs prefer the streaming ``ErrorAccumulator``; this variant is
-    for small histories kept in memory.
-    """
-    if len(times) != len(fields):
-        raise ValueError(
-            f"history mismatch: {len(times)} times but {len(fields)} fields"
-        )
-    if not fields:
-        raise ValueError("empty run history")
-    grid = fields[0].grid
-    acc = ErrorAccumulator(exact, grid, dt)
-    acc.seed(fields[0], times[0])
-    for t, m in zip(times[1:], fields[1:]):
-        acc._update(m, t)
-    if level is None:
-        level = grid.counts[0]
-    return ErrorRecord(level=level, linf_l2=acc.max_l2, l2_h1=acc.l2_h1)
-
-
 def attach_rates(records):
     """Fill in log2 rates between successive refinement levels, in place."""
     for prev, cur in zip(records, records[1:]):
@@ -167,25 +144,10 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-class StepArtifactCollector:
-    """Run callback retaining what the invariant suite needs per step.
-
-    Keeps (m_prev, m_tilde, m_new, energies); intended for the moderate-size
-    verification runs, not the 256^2 production loops.
-    """
-
-    def __init__(self):
-        self.artifacts = []
-
-    def __call__(self, report, m_prev, m_tilde, m_new):
-        self.artifacts.append((report, m_prev, m_tilde, m_new))
-
-
 class StreamingInvariantChecker:
     """Per-step scheme-invariant tracker usable as a run callback.
 
-    Retains only worst-case scalars, so it also fits the long production
-    runs where keeping full step artifacts would not.
+    Retains only worst-case scalars, so it fits long production runs.
     """
 
     def __init__(self):
@@ -238,14 +200,3 @@ class StreamingInvariantChecker:
         report.add("gradient reduction |grad m| - |grad mt|", self.worst_grad, 1e-12)
         report.add("energy dissipation per step", self.worst_energy_rise, 1e-8)
         return report
-
-
-def invariant_suite(artifacts) -> InvariantReport:
-    """Check every per-step scheme invariant on force-free exchange-only runs.
-
-    Failures are report entries, never exceptions.
-    """
-    checker = StreamingInvariantChecker()
-    for rec, m_prev, m_tilde, m_new in artifacts:
-        checker(rec, m_prev, m_tilde, m_new)
-    return checker.report()

@@ -10,8 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import effective_field
 from . import exact as exact_data
 from .diagnostics import (
     ErrorAccumulator,
@@ -23,6 +22,8 @@ from .effective_field import FieldModel
 from .exact import manufactured_solution
 from .grid import VectorField
 from .io import (
+    CSV_COLUMNS,
+    ConfigError,
     ExperimentConfig,
     report_row,
     write_csv,
@@ -50,6 +51,52 @@ def _solver_config(config):
 def _ensure_out(config):
     os.makedirs(config.out_dir, exist_ok=True)
     return config.out_dir
+
+
+def _snapshot_path(config, stem):
+    """Snapshot path under the output directory, and whether it is binary."""
+    binary = config.snapshot_format == "binary"
+    return os.path.join(config.out_dir, f"{stem}.{'bin' if binary else 'txt'}"), binary
+
+
+class _EnergyLog:
+    """Run callback keeping the CSV rows of row 0 (the initial state) and of
+    every ``cadence``-th step; ``columns`` maps each extra CSV column to the
+    function of the state that fills it."""
+
+    def __init__(self, initial, model, columns=None, cadence=1):
+        self.columns = columns or {}
+        self.cadence = cadence
+        # through the module, so a caller may substitute extended_energy
+        energy = effective_field.extended_energy(initial, model)
+        self.rows = [[0, 0.0, energy, 1.0, 0.0, 0, 0.0]
+                     + [fn(initial) for fn in self.columns.values()]]
+
+    def __call__(self, report, m_prev, m_tilde, m_new):
+        if report.step_index % self.cadence == 0:
+            extra = [fn(m_new) for fn in self.columns.values()]
+            self.rows.append(report_row(report, extra=extra))
+
+    def series(self):
+        """(step, time, energy, *extra columns) of every logged row."""
+        return [(row[0], row[1], row[2], *row[len(CSV_COLUMNS):]) for row in self.rows]
+
+    def rises(self, tol):
+        """(step, rise) wherever the energy rose by more than ``tol`` since
+        the previous logged row.
+
+        Exchange-only runs allow 1e-8, round-off only: the scheme is provably
+        dissipative.  The skyrmion relaxation allows 1e-6, because its
+        explicit anisotropy and DMI field is not provably dissipative.
+        """
+        return [
+            (new[0], new[2] - old[2])
+            for old, new in zip(self.rows, self.rows[1:])
+            if new[2] - old[2] > tol
+        ]
+
+    def write(self, path):
+        write_csv(self.rows, path, extra_columns=list(self.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +166,6 @@ def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
 class DissipateResult:
     energies: dict  # gamma -> list of (step, time, energy)
     violations: list = field(default_factory=list)  # (gamma, step, rise)
-    artifacts: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -136,26 +182,14 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
         dt = config.resolve_dt(grid)
         params = SchemeParams(beta=config.beta, gamma=gamma, dt=dt)
         initial = VectorField.from_function(grid, exact_data.dissipation_initial)
-        from .effective_field import exchange_energy
-
-        e0 = exchange_energy(initial)
-        rows = [[0, 0.0, e0, 1.0, 0.0, 0, 0.0]]
-        series = [(0, 0.0, e0)]
-        callbacks = []
-
-        def record(report, m_prev, m_tilde, m_new, _rows=rows, _series=series):
-            _rows.append(report_row(report))
-            _series.append((report.step_index, report.time, report.energy))
-
-        callbacks.append(record)
+        log = _EnergyLog(initial, params.model)
+        callbacks = [log]
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
         run(initial, params, _solver_config(config), config.t_end, callbacks=callbacks)
-        for (_, _, e_prev), (step_idx, _, e_new) in zip(series, series[1:]):
-            if e_new - e_prev > 1e-8:
-                result.violations.append((gamma, step_idx, e_new - e_prev))
-        result.energies[gamma] = series
-        write_csv(rows, os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
+        result.violations += [(gamma, *v) for v in log.rises(1e-8)]
+        result.energies[gamma] = log.series()
+        log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
     return result
 
 
@@ -181,43 +215,32 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
     dt = config.resolve_dt(grid)
     params = SchemeParams(beta=config.beta, gamma=config.gamma, dt=dt)
     initial = VectorField.from_function(grid, exact_data.blowup_initial)
-    snap_times = sorted(config.snapshot_times or BLOWUP_SNAPSHOT_TIMES)
-    binary = config.snapshot_format == "binary"
-    ext = "bin" if binary else "txt"
+    pending = sorted(config.snapshot_times or BLOWUP_SNAPSHOT_TIMES)
 
-    result = BlowupResult(snapshots=[], energies=[])
-    from .effective_field import exchange_energy
-
-    e0 = exchange_energy(initial)
-    rows = [[0, 0.0, e0, 1.0, 0.0, 0, 0.0]]
-    result.energies.append((0, 0.0, e0))
-    if snap_times and abs(snap_times[0]) < dt / 2:
-        path = os.path.join(out, f"blowup_t0.{ext}")
+    snapshots = []
+    if pending and abs(pending[0]) < dt / 2:
+        path, binary = _snapshot_path(config, "blowup_t0")
         write_snapshot(initial, path, time=0.0, step=0, binary=binary)
-        result.snapshots.append((0.0, path))
-        snap_times = snap_times[1:]
+        snapshots.append((0.0, path))
+        pending.pop(0)
 
-    pending = list(snap_times)
-
-    def record(report, m_prev, m_tilde, m_new):
-        rows.append(report_row(report))
-        result.energies.append((report.step_index, report.time, report.energy))
+    def snap(report, m_prev, m_tilde, m_new):
         while pending and report.time >= pending[0] - dt / 2:
             t_snap = pending.pop(0)
-            path = os.path.join(out, f"blowup_t{t_snap:g}.{ext}")
+            path, binary = _snapshot_path(config, f"blowup_t{t_snap:g}")
             write_snapshot(
                 m_new, path, time=report.time, step=report.step_index, binary=binary
             )
-            result.snapshots.append((t_snap, path))
+            snapshots.append((t_snap, path))
 
-    run(initial, params, _solver_config(config), config.t_end, callbacks=[record])
-    for (_, _, e_prev), (step_idx, _, e_new) in zip(
-        result.energies, result.energies[1:]
-    ):
-        if e_new - e_prev > 1e-8:
-            result.violations.append((step_idx, e_new - e_prev))
-    write_csv(rows, os.path.join(out, "blowup_energy.csv"))
-    return result
+    log = _EnergyLog(initial, params.model)
+    run(initial, params, _solver_config(config), config.t_end, callbacks=[log, snap])
+    log.write(os.path.join(out, "blowup_energy.csv"))
+    return BlowupResult(
+        snapshots=snapshots,
+        energies=log.series(),
+        violations=log.rises(1e-8),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         initial, t_start, start_index = read_checkpoint(resume, params)
     elif config.mode == "Q0":
         if config.input_state is None:
-            raise ValueError("Q0 mode requires 'input_state', a relaxed Q1 snapshot")
+            raise ConfigError("Q0 mode requires key 'input_state', a relaxed Q1 snapshot")
         n_state, _, _ = read_snapshot(config.input_state)
         initial = VectorField(grid, exact_data.charge_zero_transform(n_state.data))
     else:
@@ -262,19 +285,8 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
                                                            config.seed_radius)
         )
 
-    from .effective_field import extended_energy
-
-    e0 = extended_energy(initial, model)
-    q0 = skyrmion_number(initial)
-    rows = [[0, 0.0, e0, 1.0, 0.0, 0, 0.0, q0]]
-    series = [(0, 0.0, e0, q0)]
-
-    def record(report, m_prev, m_tilde, m_new):
-        if report.step_index % config.cadence == 0:
-            q = skyrmion_number(m_new)
-            rows.append(report_row(report, extra=[q]))
-            series.append((report.step_index, report.time, report.energy, q))
-
+    log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
+                     cadence=config.cadence)
     budget = config.max_steps or 200000
     t_end = t_start + budget * dt
     res = run(
@@ -282,42 +294,29 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         params,
         _solver_config(config),
         t_end,
-        callbacks=[record],
+        callbacks=[log],
         steady_tol=config.steady_tol,
         max_steps=budget,
         t_start=t_start,
         start_index=start_index,
         override_unit_check=True,
     )
-    charge = skyrmion_number(res.state)
-    result = SkyrmionResult(
-        final_state=res.state, charge=charge, steady=res.steady, series=series
-    )
-    for (_, _, e_prev, _), (step_idx, _, e_new, _) in zip(series, series[1:]):
-        if e_new - e_prev > 1e-6:
-            result.violations.append((step_idx, e_new - e_prev))
-
-    binary = config.snapshot_format == "binary"
-    ext = "bin" if binary else "txt"
     tag = config.mode.lower()
-    snap_path = os.path.join(out, f"skyrmion_{tag}_relaxed.{ext}")
-    last_report = res.reports[-1] if res.reports else None
-    write_snapshot(
-        res.state,
-        snap_path,
-        time=last_report.time if last_report else t_start,
-        step=last_report.step_index if last_report else start_index,
-        binary=binary,
-    )
-    result.snapshot_path = snap_path
-    if not res.steady and last_report is not None:
+    snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
+    last = res.reports[-1] if res.reports else None
+    t_last = last.time if last else t_start
+    step_last = last.step_index if last else start_index
+    write_snapshot(res.state, snap_path, time=t_last, step=step_last, binary=binary)
+    if not res.steady and last is not None:
         # budget exhausted: keep the last state around for a resumed run
-        write_checkpoint(
-            res.state,
-            os.path.join(out, f"skyrmion_{tag}_last.ckpt"),
-            last_report.time,
-            last_report.step_index,
-            params,
-        )
-    write_csv(rows, os.path.join(out, f"skyrmion_{tag}.csv"), extra_columns=["Q"])
-    return result
+        write_checkpoint(res.state, os.path.join(out, f"skyrmion_{tag}_last.ckpt"),
+                         t_last, step_last, params)
+    log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
+    return SkyrmionResult(
+        final_state=res.state,
+        charge=skyrmion_number(res.state),
+        steady=res.steady,
+        series=log.series(),
+        snapshot_path=snap_path,
+        violations=log.rises(1e-6),
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,28 +56,21 @@ class ExperimentConfig:
     max_iter: int = 500
     restart: int = 30
     method: str = "gmres"
-    levels: tuple = None  # converge only
-    gammas: tuple = None  # dissipate only
-    snapshot_times: tuple = ()  # blowup
+    levels: tuple[int, ...] = None  # converge only
+    gammas: tuple[float, ...] = None  # dissipate only
+    snapshot_times: tuple[float, ...] = ()  # blowup
     steady_tol: float = 1e-6  # skyrmion
     max_steps: int = None
     mode: str = "Q1"  # skyrmion: Q1 | Q0
     input_state: str = None  # skyrmion Q0: relaxed Q1 snapshot
     seed_radius: float = 3.0  # skyrmion initial profile width
 
-    def spacing(self):
-        """Mesh size per axis implied by domain and counts.
+    def make_grid(self, counts=None):
+        """The grid on the configured domain, with ``counts`` nodes per axis.
 
         Periodic grids tile the box with N cells; Neumann grids place their
         N nodes on [lo, hi] inclusive (N - 1 cells).
         """
-        hs = []
-        for (lo, hi), n in zip(self.domain, self.grid):
-            cells = n if self.boundary == PERIODIC else n - 1
-            hs.append((hi - lo) / cells)
-        return tuple(hs)
-
-    def make_grid(self, counts=None):
         counts = tuple(counts) if counts is not None else tuple(self.grid)
         hs = []
         for (lo, hi), n in zip(self.domain, counts):
@@ -103,21 +97,31 @@ class ExperimentConfig:
         return 1.0 / grid.counts[0]
 
 
-def _parse_floats(text, n, key, line_no):
-    parts = text.split()
-    if len(parts) != n:
-        raise ConfigError(
-            f"line {line_no}: key '{key}' expects {n} numbers, got {len(parts)}"
-        )
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: key '{key}': {exc}") from None
+def _tuple_of(item):
+    return lambda text: tuple(item(p) for p in text.split())
 
 
-def _parse_ints(text, key, line_no):
+# optional config keys are converted by their ExperimentConfig annotation;
+# the required experiment, domain and grid keys have their own checks
+_CONVERTERS = {
+    name: _tuple_of(get_args(tp)[0]) if get_origin(tp) is tuple else tp
+    for name, tp in get_type_hints(ExperimentConfig).items()
+    if name not in ("experiment", "domain", "grid")
+}
+
+
+def _read_input(path, mode):
+    """Contents of an input file; an unreadable one raises ConfigError."""
     try:
-        return tuple(int(p) for p in text.split())
+        with open(path, mode) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read input file: {exc.strerror}") from None
+
+
+def _convert(key, conv, text, line_no):
+    try:
+        return conv(text)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: key '{key}': {exc}") from None
 
@@ -125,15 +129,14 @@ def _parse_ints(text, key, line_no):
 def parse_config(path, overrides=()) -> ExperimentConfig:
     """Parse a flat key-value config file, applying ``key=value`` overrides."""
     raw = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {line_no}: expected 'key = value', got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            raw[key] = (value, line_no)
+    for line_no, line in enumerate(_read_input(path, "r").split("\n"), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        raw[key] = (value, line_no)
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not of the form key=value")
@@ -143,74 +146,37 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 
 
 def _build_config(raw):
-    def take(key, default=None, required=False):
-        if key in raw:
-            return raw.pop(key)
-        if required:
+    def take(key):
+        if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
-        return (default, 0)
+        return raw.pop(key)
 
-    experiment, ln = take("experiment", required=True)
+    experiment, ln = take("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"line {ln}: unknown experiment {experiment!r}, "
             f"expected one of {EXPERIMENTS}"
         )
 
-    dom_text, ln = take("domain", required=True)
-    nums = _parse_floats(dom_text, 4, "domain", ln)
+    dom_text, ln = take("domain")
+    nums = _convert("domain", _tuple_of(float), dom_text, ln)
+    if len(nums) != 4:
+        raise ConfigError(f"line {ln}: key 'domain' expects 4 numbers, got {len(nums)}")
     domain = ((nums[0], nums[1]), (nums[2], nums[3]))
     for lo, hi in domain:
         if hi <= lo:
             raise ConfigError(f"line {ln}: domain extent must be positive")
 
-    grid_text, ln = take("grid", required=True)
-    counts = _parse_ints(grid_text, "grid", ln)
+    grid_text, ln = take("grid")
+    counts = _convert("grid", _tuple_of(int), grid_text, ln)
     if len(counts) != 2 or any(n < 2 for n in counts):
         raise ConfigError(f"line {ln}: key 'grid' expects two counts >= 2")
 
     cfg = ExperimentConfig(experiment=experiment, domain=domain, grid=counts)
 
-    simple = {
-        "boundary": str,
-        "dt_policy": str,
-        "dt": float,
-        "t_end": float,
-        "beta": float,
-        "gamma": float,
-        "kappa": float,
-        "lam": int,
-        "out_dir": str,
-        "cadence": int,
-        "snapshot_format": str,
-        "rel_tol": float,
-        "max_iter": int,
-        "restart": int,
-        "method": str,
-        "steady_tol": float,
-        "max_steps": int,
-        "mode": str,
-        "input_state": str,
-        "seed_radius": float,
-    }
-    for key, conv in simple.items():
+    for key, conv in _CONVERTERS.items():
         if key in raw:
-            value, ln = raw.pop(key)
-            try:
-                setattr(cfg, key, conv(value))
-            except ValueError as exc:
-                raise ConfigError(f"line {ln}: key '{key}': {exc}") from None
-    if "levels" in raw:
-        value, ln = raw.pop("levels")
-        cfg.levels = _parse_ints(value, "levels", ln)
-    if "gammas" in raw:
-        value, ln = raw.pop("gammas")
-        cfg.gammas = _parse_floats(value, len(value.split()), "gammas", ln)
-    if "snapshot_times" in raw:
-        value, ln = raw.pop("snapshot_times")
-        cfg.snapshot_times = _parse_floats(
-            value, len(value.split()), "snapshot_times", ln
-        )
+            setattr(cfg, key, _convert(key, conv, *raw.pop(key)))
     if raw:
         key, (_, ln) = next(iter(raw.items()))
         raise ConfigError(f"line {ln}: unknown key '{key}'")
@@ -287,14 +253,18 @@ def write_snapshot(f: VectorField, path, time=0.0, step=0, binary=False):
 
 
 def read_snapshot(path):
-    """Inverse of write_snapshot; returns (field, time, step)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Inverse of write_snapshot; returns (field, time, step).
+
+    Anything but a complete snapshot raises ConfigError naming the file.
+    """
+    blob = _read_input(path, "rb")
     lines = []
     pos = 0
     while True:
-        end = blob.index(b"\n", pos)
-        line = blob[pos:end].decode()
+        end = blob.find(b"\n", pos)
+        if end < 0:
+            raise ConfigError(f"{path}: snapshot header has no '# body' line")
+        line = blob[pos:end].decode(errors="replace")
         pos = end + 1
         if not line.startswith("#"):
             raise ConfigError(f"{path}: malformed snapshot header line {line!r}")
@@ -307,17 +277,28 @@ def read_snapshot(path):
     for line in lines[1:]:
         key, _, value = line.partition(" ")
         header[key] = value
-    counts = tuple(int(n) for n in header["counts"].split())
-    grid = GridSpec(
-        counts=counts,
-        spacing=tuple(float(h) for h in header["spacing"].split()),
-        origin=tuple(float(x) for x in header["origin"].split()),
-        boundary=header["boundary"],
-    )
-    time = float(header["time"])
-    step = int(header["step"])
+    try:
+        counts = tuple(int(n) for n in header["counts"].split())
+        grid = GridSpec(
+            counts=counts,
+            spacing=tuple(float(h) for h in header["spacing"].split()),
+            origin=tuple(float(x) for x in header["origin"].split()),
+            boundary=header["boundary"],
+        )
+        time = float(header["time"])
+        step = int(header["step"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: snapshot header lacks key {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad snapshot header: {exc}") from None
     if header["body"] == "binary":
-        data = np.frombuffer(blob[pos:], dtype="<f8").reshape(counts + (3,))
+        body = blob[pos:]
+        expected = 8 * 3 * grid.num_nodes
+        if len(body) != expected:
+            raise ConfigError(
+                f"{path}: binary snapshot body has {len(body)} bytes, expected {expected}"
+            )
+        data = np.frombuffer(body, dtype="<f8").reshape(counts + (3,))
         return VectorField(grid, data.copy()), time, step
     body = blob[pos:].decode().strip().splitlines()
     if len(body) != grid.num_nodes:
@@ -327,8 +308,11 @@ def read_snapshot(path):
     data = np.zeros(counts + (3,))
     for row in body:
         parts = row.split()
-        idx = tuple(int(p) for p in parts[: grid.dim])
-        data[idx] = [float(p) for p in parts[-3:]]
+        try:
+            idx = tuple(int(p) for p in parts[: grid.dim])
+            data[idx] = [float(p) for p in parts[-3:]]
+        except (ValueError, IndexError):
+            raise ConfigError(f"{path}: malformed snapshot row {row!r}") from None
     return VectorField(grid, data), time, step
 
 
@@ -351,10 +335,9 @@ def write_checkpoint(f: VectorField, path, time, step, params):
 
 def read_checkpoint(path, params=None):
     """Returns (field, time, step); validates the params hash when given."""
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        params_line = fh.readline().strip()
-    if magic != "# llgsip-checkpoint 1":
+    lines = _read_input(path, "r").splitlines() + ["", ""]
+    magic, params_line = lines[0].strip(), lines[1].strip()
+    if magic != "# llgsip-checkpoint 1" or not params_line.startswith("# params "):
         raise ConfigError(f"{path}: not a checkpoint file")
     stored = params_line.split()[-1]
     if params is not None and stored != params_hash(params):

@@ -124,12 +124,8 @@ def _build_rhs(m_prev, params, t_new):
             m_prev.data, h_expl.data, params.beta, params.gamma
         )
     if params.forcing is not None:
-        coords = m_prev.grid.meshgrid()
-        comps = params.forcing(*coords, t_new)
-        f = np.stack(
-            [np.broadcast_to(c, m_prev.grid.counts) for c in comps], axis=-1
-        )
-        rhs += params.dt * f
+        f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new)
+        rhs += params.dt * f.data
     return rhs
 
 
@@ -166,16 +162,13 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     grid.require_uniform()
     shape = grid.counts + (3,)
     n = m_prev.data.size
-    m_data = m_prev.data
-    dt, beta, gamma = params.dt, params.beta, params.gamma
 
     matvec_count = [0]
 
     def matvec(x):
         matvec_count[0] += 1
-        v = x.reshape(shape)
-        lap = array_laplacian(grid, v)
-        return (v + dt * _cross_terms(m_data, lap, beta, gamma)).ravel()
+        v = VectorField(grid, x.reshape(shape))
+        return operator_apply(v, m_prev, params).data.ravel()
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     rhs = _build_rhs(m_prev, params, t_new).ravel()
@@ -187,7 +180,7 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     if cfg.preconditioner == "fft_diffusion":
         M = LinearOperator(
             (n, n),
-            matvec=_fft_diffusion_preconditioner(grid, gamma, dt, shape),
+            matvec=_fft_diffusion_preconditioner(grid, params.gamma, params.dt, shape),
             dtype=float,
         )
     elif cfg.preconditioner is not None:
@@ -237,10 +230,6 @@ def normalize(m_tilde: VectorField) -> VectorField:
     return VectorField(m_tilde.grid, m_tilde.data / lengths[..., None])
 
 
-def _energy(m, params):
-    return extended_energy(m, params.model)
-
-
 def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, step_index=0):
     """One full scheme step: implicit solve then projection.
 
@@ -254,7 +243,7 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
         krylov_iters=iters,
         residual=residual,
         min_intermediate_length=float(np.min(m_tilde.pointwise_norm())),
-        energy=_energy(m_new, params),
+        energy=extended_energy(m_new, params.model),
         max_length_error=float(np.max(np.abs(m_new.pointwise_norm() - 1.0))),
     )
     return m_new, m_tilde, report

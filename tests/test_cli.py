@@ -123,3 +123,52 @@ def test_bad_config_key(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x"])
+
+
+def skyrmion_cfg(tmp_path, out):
+    return write_cfg(
+        tmp_path,
+        f"""\
+experiment = skyrmion
+domain = 0 1.6 0 1.6
+grid = 8 8
+boundary = neumann
+dt_policy = h_squared
+beta = 0.0
+kappa = 3.0
+max_steps = 2
+out_dir = {out}
+""",
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--resume", "missing.ckpt"], "missing.ckpt"),
+        (["--override", "mode=Q0"], "'input_state'"),
+        (["--override", "mode=Q0", "--override", "input_state=missing.txt"],
+         "missing.txt"),
+        (["--override", "dt_policy=fixed"], "'dt'"),
+    ],
+    ids=[
+        "missing-checkpoint",
+        "q0-without-input-state",
+        "q0-missing-input-state",
+        "fixed-dt-policy-without-dt",
+    ],
+)
+def test_input_errors_exit_with_config_error(tmp_path, capsys, extra, message):
+    # extra flags that make the experiment reject its input before running
+    code = main(["skyrmion", "--config", skyrmion_cfg(tmp_path, tmp_path / "o")] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+
+
+def test_output_errors_are_not_config_errors(tmp_path):
+    # an unwritable output directory is a runtime failure, not a bad input
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(OSError):
+        main(["skyrmion", "--config", skyrmion_cfg(tmp_path, blocker)])

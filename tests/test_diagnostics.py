@@ -1,4 +1,4 @@
-"""Error norms, topological charge and the invariant suite."""
+"""Streaming error norms, topological charge and the invariant checks."""
 
 import math
 
@@ -8,11 +8,9 @@ import pytest
 from llgsip.diagnostics import (
     ErrorAccumulator,
     ExactSolution,
-    StepArtifactCollector,
+    StreamingInvariantChecker,
     attach_rates,
     convergence_rate,
-    error_norms,
-    invariant_suite,
     skyrmion_number,
 )
 from llgsip.effective_field import UnsupportedConfigurationError, exchange_energy
@@ -23,7 +21,7 @@ from llgsip.grid import (
     gradient_apply,
     gradient_inner_product,
 )
-from llgsip.stepper import SchemeParams, SolverConfig, run
+from llgsip.stepper import SchemeParams, SolverConfig, StepReport, run
 
 from conftest import random_unit_field
 
@@ -62,13 +60,23 @@ def constant_exact():
     return ExactSolution(m=lambda X, Y, t: (0 * X, 0 * X, 1.0 + 0 * X))
 
 
+def accumulate(exact, times, fields, dt):
+    """Feed a (time, field) history through the streaming accumulator."""
+    acc = ErrorAccumulator(exact, fields[0].grid, dt)
+    acc.seed(fields[0], times[0])
+    for k, (t, m) in enumerate(zip(times[1:], fields[1:]), 1):
+        report = StepReport(k, t, 0, 0.0, 1.0, 0.0, 0.0)
+        acc(report, None, None, m)
+    return acc
+
+
 def test_error_norms_zero_for_exact_history():
     grid = GridSpec((6, 6), (0.5, 0.5))
     exact = constant_exact()
     fields = [exact.sample(grid, t) for t in (0.0, 0.1, 0.2)]
-    rec = error_norms([0.0, 0.1, 0.2], fields, exact, dt=0.1)
-    assert rec.linf_l2 == 0.0
-    assert rec.l2_h1 == 0.0
+    acc = accumulate(exact, [0.0, 0.1, 0.2], fields, dt=0.1)
+    assert acc.max_l2 == 0.0
+    assert acc.l2_h1 == 0.0
 
 
 def test_error_norms_scale_linearly(rng):
@@ -83,37 +91,11 @@ def test_error_norms_scale_linearly(rng):
             exact.sample(grid, 0.0),
             VectorField(grid, exact.sample(grid, 0.1).data + s * delta),
         ]
-        return error_norms(times, fields, exact, dt=0.1)
+        return accumulate(exact, times, fields, dt=0.1)
 
     r1, r2 = record(1.0), record(2.0)
-    assert r2.linf_l2 == pytest.approx(2.0 * r1.linf_l2, rel=1e-14)
+    assert r2.max_l2 == pytest.approx(2.0 * r1.max_l2, rel=1e-14)
     assert r2.l2_h1 == pytest.approx(2.0 * r1.l2_h1, rel=1e-14)
-
-
-def test_error_norms_validation():
-    grid = GridSpec((4, 4), (0.5, 0.5))
-    exact = constant_exact()
-    with pytest.raises(ValueError):
-        error_norms([0.0, 0.1], [exact.sample(grid, 0.0)], exact, dt=0.1)
-    with pytest.raises(ValueError):
-        error_norms([], [], exact, dt=0.1)
-
-
-def test_streaming_accumulator_matches_batch(rng):
-    grid = GridSpec((6, 6), (0.5, 0.5))
-    exact = constant_exact()
-    times = [0.0, 0.1, 0.2, 0.3]
-    fields = [
-        VectorField(grid, exact.sample(grid, t).data + 0.01 * rng.standard_normal(grid.counts + (3,)))
-        for t in times
-    ]
-    batch = error_norms(times, fields, exact, dt=0.1)
-    acc = ErrorAccumulator(exact, grid, 0.1)
-    acc.seed(fields[0], times[0])
-    for t, m in zip(times[1:], fields[1:]):
-        acc._update(m, t)
-    assert acc.max_l2 == batch.linf_l2
-    assert acc.l2_h1 == batch.l2_h1
 
 
 def test_convergence_rate_arithmetic():
@@ -192,35 +174,40 @@ def test_skyrmion_number_against_refined_quadrature():
 # invariant suite
 # ---------------------------------------------------------------------------
 
-def dissipation_run(n=16, steps=5, dt=0.05):
+def dissipation_run(callback, n=16, steps=5, dt=0.05):
     h = 2 * np.pi / n
     grid = GridSpec((n, n), (h, h))
     m0 = VectorField.from_function(grid, dissipation_initial)
-    collector = StepArtifactCollector()
     run(
         m0,
         SchemeParams(beta=1.0, gamma=1.0, dt=dt),
         SolverConfig(rel_tol=1e-12),
         t_end=steps * dt,
-        callbacks=[collector],
+        callbacks=[callback],
     )
-    return collector.artifacts
 
 
 def test_invariant_suite_passes_on_clean_run():
-    report = invariant_suite(dissipation_run())
+    checker = StreamingInvariantChecker()
+    dissipation_run(checker)
+    report = checker.report()
+    assert checker.steps == 5
     assert report.all_passed, report.summary()
     names = [c.name for c in report.checks]
     assert len(names) == 5
 
 
 def test_invariant_suite_detects_injected_length_fault():
-    artifacts = dissipation_run(steps=3)
-    rec, m_prev, m_tilde, m_new = artifacts[-1]
-    bad = VectorField(m_new.grid, m_new.data.copy())
-    bad.data[2, 3] *= 1.01
-    artifacts[-1] = (rec, m_prev, m_tilde, bad)
-    report = invariant_suite(artifacts)
+    checker = StreamingInvariantChecker()
+
+    def faulty(report, m_prev, m_tilde, m_new):
+        if report.step_index == 3:
+            m_new = VectorField(m_new.grid, m_new.data.copy())
+            m_new.data[2, 3] *= 1.01
+        checker(report, m_prev, m_tilde, m_new)
+
+    dissipation_run(faulty, steps=3)
+    report = checker.report()
     assert not report.all_passed
     failed = [c.name for c in report.checks if not c.passed]
     assert any("length" in name for name in failed)
@@ -228,6 +215,6 @@ def test_invariant_suite_detects_injected_length_fault():
 
 
 def test_invariant_suite_empty_history():
-    report = invariant_suite([])
+    report = StreamingInvariantChecker().report()
     assert report.checks == []
     assert report.all_passed

@@ -49,7 +49,7 @@ def test_parse_basic_config(tmp_path):
     assert cfg.dt == 0.01
     assert cfg.gammas == (0.5, 1.0)
     assert cfg.boundary == "periodic"
-    assert cfg.spacing()[0] == pytest.approx(2 * np.pi / 16)
+    assert cfg.make_grid().spacing[0] == pytest.approx(2 * np.pi / 16)
 
 
 def test_missing_required_key_names_it(tmp_path):
@@ -116,7 +116,7 @@ def test_neumann_spacing_spans_closed_interval():
         grid=(65, 65),
         boundary="neumann",
     )
-    assert cfg.spacing() == (1.0 / 64, 1.0 / 64)
+    assert cfg.make_grid().spacing == (1.0 / 64, 1.0 / 64)
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +174,36 @@ def test_snapshot_round_trip_bit_exact(tmp_path, rng, binary, boundary):
 
 def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "bad.dat"
-    path.write_text("# not-a-snapshot\n# body text\n")
-    with pytest.raises(ConfigError):
-        read_snapshot(path)
+    header = (
+        "# llgsip-snapshot 1\n# dim 2\n# counts 2 2\n# spacing 0.5 0.5\n"
+        "# origin 0.0 0.0\n# boundary periodic\n# time 0.0\n"
+    )
+    for text in (
+        "# not-a-snapshot\n# body text\n",
+        header,  # no body line
+        header.replace("# time 0.0\n", "") + "# step 0\n# body text\n",
+        header + "# step zero\n# body text\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="bad.dat"):
+            read_snapshot(path)
 
 
-def test_snapshot_rejects_truncated_body(tmp_path, rng):
+@pytest.mark.parametrize("binary", [False, True])
+def test_snapshot_rejects_truncated_body(tmp_path, rng, binary):
     grid = GridSpec((4, 4), (0.5, 0.5))
     f = random_unit_field(grid, rng)
-    path = tmp_path / "snap.txt"
-    write_snapshot(f, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ConfigError, match="rows"):
-        read_snapshot(path)
+    path = tmp_path / "snap.dat"
+    write_snapshot(f, path, binary=binary)
+    blob = path.read_bytes()
+    if binary:
+        cuts = [blob[:-8], blob + bytes(8)]
+    else:
+        cuts = [b"\n".join(blob.splitlines()[:-2]) + b"\n"]
+    for cut in cuts:
+        path.write_bytes(cut)
+        with pytest.raises(ConfigError, match="bytes" if binary else "rows"):
+            read_snapshot(path)
 
 
 # ---------------------------------------------------------------------------
