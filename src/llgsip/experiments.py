@@ -60,16 +60,16 @@ def _snapshot_path(config, stem):
 
 
 class _EnergyLog:
-    """Run callback keeping the CSV rows of row 0 (the initial state) and of
-    every ``cadence``-th step; ``columns`` maps each extra CSV column to the
-    function of the state that fills it."""
+    """Run callback keeping the CSV rows of row 0 (the initial state, at
+    ``step`` and ``time``) and of every ``cadence``-th step; ``columns`` maps
+    each extra CSV column to the function of the state that fills it."""
 
-    def __init__(self, initial, model, columns=None, cadence=1):
+    def __init__(self, initial, model, columns=None, cadence=1, step=0, time=0.0):
         self.columns = columns or {}
         self.cadence = cadence
         # through the module, so a caller may substitute extended_energy
         energy = effective_field.extended_energy(initial, model)
-        self.rows = [[0, 0.0, energy, 1.0, 0.0, 0, 0.0]
+        self.rows = [[step, time, energy, 1.0, 0.0, 0, 0.0]
                      + [fn(initial) for fn in self.columns.values()]]
 
     def __call__(self, report, m_prev, m_tilde, m_new):
@@ -286,7 +286,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         )
 
     log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
-                     cadence=config.cadence)
+                     cadence=config.cadence, step=start_index, time=t_start)
     budget = config.max_steps or 200000
     t_end = t_start + budget * dt
     res = run(

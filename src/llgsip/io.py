@@ -16,6 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .grid import PERIODIC, NEUMANN, GridSpec, VectorField
+from .stepper import KRYLOV_METHODS
 
 CSV_COLUMNS = [
     "step",
@@ -34,6 +35,15 @@ class ConfigError(ValueError):
 
 EXPERIMENTS = ("converge", "dissipate", "blowup", "skyrmion")
 DT_POLICIES = ("fixed", "h_squared", "h_linear")
+
+# the values each enumerated config key accepts
+_CHOICES = {
+    "boundary": (PERIODIC, NEUMANN),
+    "dt_policy": DT_POLICIES,
+    "method": KRYLOV_METHODS,
+    "snapshot_format": ("text", "binary"),
+    "mode": ("Q1", "Q0"),
+}
 
 
 @dataclass
@@ -181,12 +191,16 @@ def _build_config(raw):
         key, (_, ln) = next(iter(raw.items()))
         raise ConfigError(f"line {ln}: unknown key '{key}'")
 
-    if cfg.boundary not in (PERIODIC, NEUMANN):
-        raise ConfigError(f"unknown boundary kind {cfg.boundary!r}")
-    if cfg.dt_policy not in DT_POLICIES:
-        raise ConfigError(
-            f"unknown dt policy {cfg.dt_policy!r}, expected one of {DT_POLICIES}"
-        )
+    for key, choices in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value not in choices:
+            raise ConfigError(
+                f"key '{key}': unknown value {value!r}, expected one of {choices}"
+            )
+    for key in ("gamma", "gammas"):
+        value = getattr(cfg, key)
+        if value is not None and np.min(value, initial=np.inf) <= 0:
+            raise ConfigError(f"key '{key}': damping must be positive, got {value}")
     return cfg
 
 

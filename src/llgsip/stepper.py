@@ -7,7 +7,9 @@ Each step solves the linear system
 
 matrix-free with a non-symmetric Krylov method (m the previous, pointwise
 unit state; H the explicit non-exchange field; f an optional forcing), then
-renormalizes mt node by node back onto the unit sphere.
+renormalizes mt node by node back onto the unit sphere.  By default the
+Krylov method is preconditioned by the tangent-plane diffusion inverse
+(see ``_tangent_diffusion_preconditioner``).
 
 In the force-free exchange-only case the intermediate solution satisfies
 mt . m == 1 and |mt| >= 1 at every node (up to solver tolerance), which is
@@ -17,12 +19,15 @@ what makes the projection both well defined and energy dissipative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
 from .effective_field import FieldModel, explicit_field_apply, extended_energy
 from .grid import (
+    NEUMANN,
     GridMismatchError,
     VectorField,
     array_laplacian,
@@ -31,6 +36,9 @@ from .grid import (
 
 GMRES = "gmres"
 BICGSTAB = "bicgstab"
+KRYLOV_METHODS = (GMRES, BICGSTAB)
+TANGENT_DIFFUSION = "tangent_diffusion"
+BICGSTAB_RESTARTS = 3
 
 
 class SolverError(RuntimeError):
@@ -77,11 +85,13 @@ class SolverConfig:
     rel_tol: float = 1e-12
     max_iter: int = 500
     restart: int = 30
-    preconditioner: str = None  # None or "fft_diffusion" (periodic grids)
+    preconditioner: str = TANGENT_DIFFUSION  # or None
 
     def __post_init__(self):
-        if self.method not in (GMRES, BICGSTAB):
+        if self.method not in KRYLOV_METHODS:
             raise ValueError(f"unknown Krylov method {self.method!r}")
+        if self.preconditioner not in (TANGENT_DIFFUSION, None):
+            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iter < 1:
@@ -129,29 +139,65 @@ def _build_rhs(m_prev, params, t_new):
     return rhs
 
 
-def _fft_diffusion_preconditioner(grid, gamma, dt, shape):
-    """Apply (I - gamma*dt*lap_h)^(-1) via FFT; periodic grids only.
+@lru_cache(maxsize=32)
+def _axis_eigenbasis(n, h, boundary):
+    """Eigenpairs (lam, V, V^-1) of the 1-D three-point Laplacian on one axis.
 
-    The constant-coefficient diffusion part dominates the symmetric part of
-    the operator, so this is a cheap, optional accelerator.
+    Neumann rows reflect (m_{-1} = m_1), so the matrix L is not symmetric;
+    with the trapezoidal weights W (all ones on periodic axes) W L is, and
+    the generalized problem W L v = lam W v gives W-orthonormal V, so
+    V^-1 = V^T W.  One code path serves both boundaries and every n.
     """
-    if grid.boundary != "periodic":
-        raise ValueError("the FFT preconditioner requires a periodic grid")
-    eig = np.zeros(grid.counts)
-    for a in range(grid.dim):
-        k = np.arange(grid.counts[a])
-        lam = -(4.0 / grid.spacing[a] ** 2) * np.sin(np.pi * k / grid.counts[a]) ** 2
-        s = [1] * grid.dim
-        s[a] = grid.counts[a]
-        eig = eig + lam.reshape(s)
-    denom = 1.0 - gamma * dt * eig
+    eye = np.eye(n)
+    lap = (np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye) / h ** 2
+    w = np.ones(n)
+    if boundary == NEUMANN:
+        lap[0, -1] = lap[-1, 0] = 0.0
+        lap[0, 1] = lap[-1, -2] = 2.0 / h ** 2
+        w[0] = w[-1] = 0.5
+    lam, vecs = eigh(w[:, None] * lap, np.diag(w))
+    basis = (lam, vecs, vecs.T * w)
+    for arr in basis:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return basis
+
+
+def _along_axis(mat, values, axis):
+    """Apply the matrix ``mat`` along one spatial axis of a raw array."""
+    return np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+
+
+def _tangent_diffusion_preconditioner(m_prev, params):
+    """x -> m(m.x) + P (I - gamma*dt*lap_h)^(-1) P x, with P = I - m m^T.
+
+    For unit m, m x (m x w) = m(m.w) - w, so A = I - dt(gamma P - beta m x)
+    lap_h is the identity on the component normal to m; this keeps that
+    component and replaces the tangent part of A by its diffusion.  The
+    inverse diffusion is diagonal in the tensor product of the per-axis
+    eigenbases.
+    """
+    grid = m_prev.grid
+    m = m_prev.data
+    bases = [
+        _axis_eigenbasis(n, h, grid.boundary)
+        for n, h in zip(grid.counts, grid.spacing)
+    ]
+    # eigenvalues of lap_h, one per tensor-product mode
+    eig = sum(np.meshgrid(*(lam for lam, _, _ in bases), indexing="ij", sparse=True))
+    denom = (1.0 - params.gamma * params.dt * eig)[..., None]
 
     def apply(x):
-        v = x.reshape(shape)
-        axes = tuple(range(grid.dim))
-        vh = np.fft.fftn(v, axes=axes)
-        vh /= denom[..., None]
-        return np.real(np.fft.ifftn(vh, axes=axes)).ravel()
+        x = x.reshape(m.shape)
+        mx = np.einsum("...i,...i->...", m, x)[..., None]
+        t = x - m * mx
+        for a, (_, _, inv) in enumerate(bases):
+            t = _along_axis(inv, t, a)
+        t /= denom
+        for a, (_, vecs, _) in enumerate(bases):
+            t = _along_axis(vecs, t, a)
+        # project the diffused part back onto the tangent plane, keep m(m.x)
+        t += m * (mx - np.einsum("...i,...i->...", m, t)[..., None])
+        return t.ravel()
 
     return apply
 
@@ -177,14 +223,12 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
         return VectorField.zeros(grid), 0, 0.0
 
     M = None
-    if cfg.preconditioner == "fft_diffusion":
+    if cfg.preconditioner == TANGENT_DIFFUSION:
         M = LinearOperator(
             (n, n),
-            matvec=_fft_diffusion_preconditioner(grid, params.gamma, params.dt, shape),
+            matvec=_tangent_diffusion_preconditioner(m_prev, params),
             dtype=float,
         )
-    elif cfg.preconditioner is not None:
-        raise ValueError(f"unknown preconditioner {cfg.preconditioner!r}")
 
     residuals = []
 
@@ -206,9 +250,23 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
             callback_type="pr_norm",
         )
     else:
-        x, info = bicgstab(
-            op, rhs, x0=x0, rtol=cfg.rel_tol, atol=0.0, maxiter=cfg.max_iter, M=M
-        )
+        # SciPy's BiCGStab stops when rho or omega drops below eps^2 in
+        # absolute terms (info -10 / -11), which precession-dominated solves
+        # can reach before rel_tol; a restart from the last iterate renews
+        # the shadow residual.  All attempts share one max_iter budget.
+        done = [0]
+
+        def count(_):
+            done[0] += 1
+
+        x = x0
+        for _ in range(1 + BICGSTAB_RESTARTS):
+            x, info = bicgstab(
+                op, rhs, x0=x, rtol=cfg.rel_tol, atol=0.0,
+                maxiter=cfg.max_iter - done[0], M=M, callback=count,
+            )
+            if info >= 0:
+                break
 
     residual = float(np.linalg.norm(matvec(x) - rhs) / b_norm)
     matvec_count[0] -= 1  # the residual check above is not a solver iteration

@@ -172,3 +172,37 @@ def test_output_errors_are_not_config_errors(tmp_path):
     blocker.write_text("")
     with pytest.raises(OSError):
         main(["skyrmion", "--config", skyrmion_cfg(tmp_path, blocker)])
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("method=cg", "method"),
+        ("snapshot_format=bin", "snapshot_format"),
+        ("mode=Q2", "mode"),
+        ("gamma=0", "gamma"),
+        ("gammas=1.0 -0.5", "gammas"),
+    ],
+)
+def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key):
+    out = tmp_path / "o"
+    code = main(["skyrmion", "--config", skyrmion_cfg(tmp_path, out),
+                 "--override", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_resumed_skyrmion_csv_starts_at_checkpoint(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg = skyrmion_cfg(tmp_path, first)
+    assert main(["skyrmion", "--config", cfg, "--override", "max_steps=6"]) == 1
+    assert main(["skyrmion", "--config", cfg, "--out", str(second),
+                 "--override", "max_steps=4",
+                 "--resume", str(first / "skyrmion_q1_last.ckpt")]) == 1
+    before = np.genfromtxt(first / "skyrmion_q1.csv", delimiter=",", names=True)
+    after = np.genfromtxt(second / "skyrmion_q1.csv", delimiter=",", names=True)
+    assert after["step"][0] == 6 and after["time"][0] == before["time"][-1]
+    assert after["energy"][0] == before["energy"][-1]
+    assert list(after["step"][1:]) == [7, 8, 9, 10]

@@ -2,26 +2,39 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from llgsip.diagnostics import ExactSolution
-from llgsip.exact import dissipation_initial, manufactured_solution
+from llgsip.exact import blowup_initial, dissipation_initial, manufactured_solution
 from llgsip.effective_field import exchange_energy
-from llgsip.grid import NEUMANN, PERIODIC, GridSpec, VectorField, grad_l2_norm
+from llgsip.grid import (
+    NEUMANN,
+    PERIODIC,
+    GridSpec,
+    VectorField,
+    array_laplacian,
+    grad_l2_norm,
+)
+from llgsip import stepper
 from llgsip.stepper import (
+    BICGSTAB_RESTARTS,
     DegenerateStateError,
     SchemeParams,
     SolverConfig,
+    _along_axis,
+    _axis_eigenbasis,
+    _tangent_diffusion_preconditioner,
     ingest_initial,
     normalize,
     operator_apply,
     run,
+    SolverError,
     solve_intermediate,
     step,
 )
 
-from conftest import random_field, random_unit_field
+from conftest import random_field, random_unit_field, small_grids
 
 
 TIGHT = SolverConfig(rel_tol=1e-12)
@@ -108,14 +121,109 @@ def test_intermediate_orthogonality_and_lower_bound(method, rng):
     assert np.min(np.sqrt(np.sum(mt.data ** 2, axis=-1))) >= 1.0 - 1e-9
 
 
-def test_fft_preconditioner_gives_same_answer(rng):
-    grid = GridSpec((16, 16), (2 * np.pi / 16,) * 2)
-    m = random_unit_field(grid, rng)
-    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.05)
-    plain, _, _ = solve_intermediate(m, params, TIGHT, t_new=params.dt)
-    pre_cfg = SolverConfig(rel_tol=1e-12, preconditioner="fft_diffusion")
-    pre, iters_pre, _ = solve_intermediate(m, params, pre_cfg, t_new=params.dt)
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_axis_eigenbasis_reproduces_laplacian(boundary, rng):
+    # V diag(lam) V^-1 per axis, summed over axes, is the 3-point Laplacian
+    grids = small_grids(boundary) + [
+        GridSpec((2, 3), (0.5, 0.5), boundary=boundary),
+        GridSpec((65, 64), (1 / 64,) * 2, boundary=boundary),
+    ]
+    for grid in grids:
+        f = rng.standard_normal(grid.counts + (3,))
+        lap = np.zeros_like(f)
+        for a, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
+            lam, vecs, inv = _axis_eigenbasis(n, h, boundary)
+            lap += _along_axis(vecs * lam, _along_axis(inv, f, a), a)
+        ref = array_laplacian(grid, f)
+        assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_preconditioner_inverts_operator_on_uniform_state(boundary, rng):
+    # uniform m and beta = 0: A = m m^T + P (I - gamma dt lap) P exactly, so
+    # M^-1 A = I and one Krylov iteration solves the system
+    grid = GridSpec((6, 5), (0.4, 0.4), boundary=boundary)
+    m = VectorField.constant(grid, (0.6, 0.0, 0.8))
+    params = SchemeParams(
+        beta=0.0,
+        gamma=1.3,
+        dt=0.2,
+        forcing=lambda x, y, t: (np.sin(3 * x) * np.cos(y), x * y, np.cos(x + y)),
+    )
+    v = random_field(grid, rng)
+    apply = _tangent_diffusion_preconditioner(m, params)
+    out = apply(operator_apply(v, m, params).data.ravel())
+    assert np.max(np.abs(out - v.data.ravel())) <= 1e-13
+    # GMRES also spends a matvec on the start and on the end residual
+    for method, budget in (("gmres", 3), ("bicgstab", 2)):
+        _, iters, res = solve_intermediate(
+            m, params, SolverConfig(method=method), t_new=params.dt
+        )
+        assert iters <= budget and res <= 1e-12
+
+
+def test_bubble_step_matvec_budget():
+    # the 65^2 Neumann bubble of blowup_smoke.cfg takes about 215 matvecs
+    # per step without the preconditioner
+    h = 1 / 64
+    grid = GridSpec((65, 65), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    m = VectorField.from_function(grid, blowup_initial)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
+    _, iters, _ = solve_intermediate(m, params, TIGHT, t_new=params.dt)
+    assert iters <= 40
+
+
+@settings(max_examples=40, deadline=None)
+@example(  # broke down (BiCGStab info -10) before solve_intermediate restarted it
+    counts=(4, 4, 4),
+    boundary=NEUMANN,
+    method="bicgstab",
+    beta=1.2734375,
+    gamma=0.109375,
+    dt=0.04135081068213878,
+    seed=416,
+)
+@given(
+    counts=st.lists(st.integers(2, 6), min_size=2, max_size=3).map(tuple),
+    boundary=st.sampled_from([PERIODIC, NEUMANN]),
+    method=st.sampled_from(["gmres", "bicgstab"]),
+    beta=st.floats(-2.0, 2.0),
+    gamma=st.floats(0.1, 2.0),
+    dt=st.floats(1e-3, 0.05),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_preconditioned_solve_matches_unpreconditioned(
+    counts, boundary, method, beta, gamma, dt, seed
+):
+    grid = GridSpec(counts, (0.3,) * len(counts), boundary=boundary)
+    m = random_unit_field(grid, np.random.default_rng(seed))
+    params = SchemeParams(beta=beta, gamma=gamma, dt=dt)
+    plain, _, _ = solve_intermediate(
+        m, params, SolverConfig(method=method, preconditioner=None), t_new=dt
+    )
+    pre, _, _ = solve_intermediate(m, params, SolverConfig(method=method), t_new=dt)
     assert np.max(np.abs(plain.data - pre.data)) <= 1e-9
+
+
+def test_bicgstab_restarts_share_one_iteration_budget(monkeypatch, rng):
+    # every attempt breaks down after three iterations
+    budgets = []
+
+    def breaking_bicgstab(A, b, x0, *, maxiter, callback, **kwargs):
+        budgets.append(maxiter)
+        for _ in range(min(3, maxiter)):
+            callback(x0)
+        return x0, -10
+
+    monkeypatch.setattr(stepper, "bicgstab", breaking_bicgstab)
+    m = random_unit_field(GridSpec((4, 4), (0.3, 0.3)), rng)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.01)
+    with pytest.raises(SolverError):
+        solve_intermediate(
+            m, params, SolverConfig(method="bicgstab", max_iter=10), t_new=0.01
+        )
+    assert budgets == [10, 7, 4, 1]
+    assert len(budgets) == 1 + BICGSTAB_RESTARTS
 
 
 # ---------------------------------------------------------------------------
@@ -342,5 +450,7 @@ def test_params_validation():
         SchemeParams(beta=1.0, gamma=1.0, dt=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(method="cg")
+    with pytest.raises(ValueError):
+        SolverConfig(preconditioner="fft_diffusion")
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=2.0)
