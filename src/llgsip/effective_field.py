@@ -75,19 +75,28 @@ def _require_2d(m, model):
         )
 
 
+def _planar_differences(m: VectorField):
+    """D1 m2, D1 m3, D2 m1 and D2 m3: the central differences of the planar
+    curl, shared by the DMI field and the DMI energy."""
+    grid = m.grid
+    m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
+    return (
+        array_central_difference(grid, m2, 0),
+        array_central_difference(grid, m3, 0),
+        array_central_difference(grid, m1, 1),
+        array_central_difference(grid, m3, 1),
+    )
+
+
 def explicit_field_apply(m: VectorField, model: FieldModel) -> VectorField:
     """Non-exchange part of the effective field, evaluated at the nodes."""
     if model.variant == EXCHANGE_ONLY:
         return VectorField.zeros(m.grid)
     _require_2d(m, model)
     grid = m.grid
-    m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
-    d1m2 = array_central_difference(grid, m2, 0)
-    d1m3 = array_central_difference(grid, m3, 0)
-    d2m1 = array_central_difference(grid, m1, 1)
-    d2m3 = array_central_difference(grid, m3, 1)
+    d1m2, d1m3, d2m1, d2m3 = _planar_differences(m)
     out = np.zeros(grid.counts + (3,))
-    out[..., 2] = model.kappa * m3
+    out[..., 2] = model.kappa * m.data[..., 2]
     lam = model.lam
     out[..., 0] -= 2.0 * lam * d2m3
     out[..., 1] += 2.0 * lam * d1m3
@@ -105,10 +114,7 @@ def dmi_energy(m: VectorField, lam) -> float:
     """lam * sum_nodes (curl m) . m, weighted like the l2 inner product."""
     grid = m.grid
     m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
-    d1m2 = array_central_difference(grid, m2, 0)
-    d1m3 = array_central_difference(grid, m3, 0)
-    d2m1 = array_central_difference(grid, m1, 1)
-    d2m3 = array_central_difference(grid, m3, 1)
+    d1m2, d1m3, d2m1, d2m3 = _planar_differences(m)
     # planar curl: (d2 m3, -d1 m3, d1 m2 - d2 m1)
     curl_dot_m = m1 * d2m3 - m2 * d1m3 + m3 * (d1m2 - d2m1)
     w = _node_weights(grid)

@@ -287,7 +287,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
 
     log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
-    budget = config.max_steps or 200000
+    budget = 200000 if config.max_steps is None else config.max_steps
     t_end = t_start + budget * dt
     res = run(
         initial,

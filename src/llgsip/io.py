@@ -43,6 +43,7 @@ _CHOICES = {
     "method": KRYLOV_METHODS,
     "snapshot_format": ("text", "binary"),
     "mode": ("Q1", "Q0"),
+    "lam": (1, -1),
 }
 
 
@@ -199,8 +200,20 @@ def _build_config(raw):
             )
     for key in ("gamma", "gammas"):
         value = getattr(cfg, key)
-        if value is not None and np.min(value, initial=np.inf) <= 0:
+        if value is not None and not np.min(value, initial=np.inf) > 0:
             raise ConfigError(f"key '{key}': damping must be positive, got {value}")
+    if not cfg.kappa >= 0:
+        raise ConfigError(
+            f"key 'kappa': anisotropy must be nonnegative, got {cfg.kappa}"
+        )
+    for key in ("restart", "max_iter", "cadence", "max_steps"):
+        value = getattr(cfg, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"key '{key}': must be at least 1, got {value}")
+    if not 0.0 < cfg.rel_tol < 1.0:
+        raise ConfigError(f"key 'rel_tol': must lie in (0, 1), got {cfg.rel_tol}")
+    if cfg.dt_policy == "fixed" and cfg.dt is not None and not cfg.dt > 0:
+        raise ConfigError(f"key 'dt': time step must be positive, got {cfg.dt}")
     return cfg
 
 

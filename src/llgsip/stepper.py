@@ -8,8 +8,9 @@ Each step solves the linear system
 matrix-free with a non-symmetric Krylov method (m the previous, pointwise
 unit state; H the explicit non-exchange field; f an optional forcing), then
 renormalizes mt node by node back onto the unit sphere.  By default the
-Krylov method is preconditioned by the tangent-plane diffusion inverse
-(see ``_tangent_diffusion_preconditioner``).
+Krylov method is preconditioned by the inverse of A's tangent-plane
+diffusion and precession, exact for uniform m (see
+``_tangent_plane_preconditioner``).
 
 In the force-free exchange-only case the intermediate solution satisfies
 mt . m == 1 and |mt| >= 1 at every node (up to solver tolerance), which is
@@ -37,7 +38,7 @@ from .grid import (
 GMRES = "gmres"
 BICGSTAB = "bicgstab"
 KRYLOV_METHODS = (GMRES, BICGSTAB)
-TANGENT_DIFFUSION = "tangent_diffusion"
+TANGENT_PLANE = "tangent_plane"
 BICGSTAB_RESTARTS = 3
 
 
@@ -85,12 +86,12 @@ class SolverConfig:
     rel_tol: float = 1e-12
     max_iter: int = 500
     restart: int = 30
-    preconditioner: str = TANGENT_DIFFUSION  # or None
+    preconditioner: str = TANGENT_PLANE  # or None
 
     def __post_init__(self):
         if self.method not in KRYLOV_METHODS:
             raise ValueError(f"unknown Krylov method {self.method!r}")
-        if self.preconditioner not in (TANGENT_DIFFUSION, None):
+        if self.preconditioner not in (TANGENT_PLANE, None):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
@@ -163,18 +164,22 @@ def _axis_eigenbasis(n, h, boundary):
 
 
 def _along_axis(mat, values, axis):
-    """Apply the matrix ``mat`` along one spatial axis of a raw array."""
+    """Apply the matrix ``mat`` along one axis of a raw array."""
     return np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
 
 
-def _tangent_diffusion_preconditioner(m_prev, params):
-    """x -> m(m.x) + P (I - gamma*dt*lap_h)^(-1) P x, with P = I - m m^T.
+def _tangent_plane_preconditioner(m_prev, params):
+    """x -> m(m.x) + P [V F1 V^-1 P x - m x (V F2 V^-1 P x)], P = I - m m^T.
 
-    For unit m, m x (m x w) = m(m.w) - w, so A = I - dt(gamma P - beta m x)
-    lap_h is the identity on the component normal to m; this keeps that
-    component and replaces the tangent part of A by its diffusion.  The
-    inverse diffusion is diagonal in the tensor product of the per-axis
-    eigenbases.
+    For unit m, m x (m x w) = m(m.w) - w, so A = I - dt(gamma P - beta J)
+    lap_h with J = m x: the identity on the component normal to m, and on
+    the tangent plane, where J^2 = -I, a + bJ per eigenmode lam of lap_h,
+    with a = 1 - gamma dt lam and b = beta dt lam.  This keeps the normal
+    component and inverts the tangent part as (a - bJ)/(a^2 + b^2), exactly
+    so for uniform m.  F1 = a/(a^2 + b^2) and F2 = b/(a^2 + b^2) are diagonal
+    in the tensor product of the per-axis eigenbases, so both halves share
+    one forward and one inverse transform.  With beta = 0, F2 vanishes and
+    only the diffusion half is applied.
     """
     grid = m_prev.grid
     m = m_prev.data
@@ -184,18 +189,26 @@ def _tangent_diffusion_preconditioner(m_prev, params):
     ]
     # eigenvalues of lap_h, one per tensor-product mode
     eig = sum(np.meshgrid(*(lam for lam, _, _ in bases), indexing="ij", sparse=True))
-    denom = (1.0 - params.gamma * params.dt * eig)[..., None]
+    a = 1.0 - params.gamma * params.dt * eig
+    scale = None  # beta = 0: F2 = 0 and F1 = 1/a, applied as a division by a
+    if params.beta != 0:
+        b = params.beta * params.dt * eig
+        scale = (np.stack((a, b)) / (a * a + b * b))[..., None]  # (F1, F2)
+    a = a[..., None]
 
     def apply(x):
         x = x.reshape(m.shape)
         mx = np.einsum("...i,...i->...", m, x)[..., None]
         t = x - m * mx
-        for a, (_, _, inv) in enumerate(bases):
-            t = _along_axis(inv, t, a)
-        t /= denom
-        for a, (_, vecs, _) in enumerate(bases):
-            t = _along_axis(vecs, t, a)
-        # project the diffused part back onto the tangent plane, keep m(m.x)
+        for k, (_, _, inv) in enumerate(bases):
+            t = _along_axis(inv, t, k)
+        # (F1 t, F2 t) on a leading axis, so one inverse transform serves
+        # both halves; with beta = 0 the axis holds t / a alone
+        t = t[None] / a if scale is None else scale * t
+        for k, (_, vecs, _) in enumerate(bases):
+            t = _along_axis(vecs, t, k + 1)
+        t = t[0] if scale is None else t[0] - np.cross(m, t[1])
+        # project back onto the tangent plane, keep m(m.x)
         t += m * (mx - np.einsum("...i,...i->...", m, t)[..., None])
         return t.ravel()
 
@@ -223,10 +236,10 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
         return VectorField.zeros(grid), 0, 0.0
 
     M = None
-    if cfg.preconditioner == TANGENT_DIFFUSION:
+    if cfg.preconditioner == TANGENT_PLANE:
         M = LinearOperator(
             (n, n),
-            matvec=_tangent_diffusion_preconditioner(m_prev, params),
+            matvec=_tangent_plane_preconditioner(m_prev, params),
             dtype=float,
         )
 

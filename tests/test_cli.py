@@ -194,6 +194,38 @@ def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["restart=0"], "restart"),
+        (["max_iter=0"], "max_iter"),
+        (["cadence=0"], "cadence"),
+        (["max_steps=0"], "max_steps"),
+        (["rel_tol=2"], "rel_tol"),
+        (["rel_tol=0"], "rel_tol"),
+        (["dt_policy=fixed", "dt=-0.1"], "dt"),
+        (["dt_policy=fixed", "dt=0"], "dt"),
+        (["gamma=nan"], "gamma"),
+        (["kappa=-1"], "kappa"),
+        (["lam=2"], "lam"),
+    ],
+    ids=["restart", "max_iter", "cadence", "max_steps", "rel_tol-above-1",
+         "rel_tol-zero", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam"],
+)
+def test_bad_numeric_keys_exit_with_config_error(tmp_path, capsys, overrides, key):
+    # each used to end in a traceback, a run of the default 200000-step
+    # budget (max_steps = 0) or the seed written as the relaxed state (dt = 0)
+    out = tmp_path / "o"
+    argv = ["skyrmion", "--config", skyrmion_cfg(tmp_path, out)]
+    for override in overrides:
+        argv += ["--override", override]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
 def test_resumed_skyrmion_csv_starts_at_checkpoint(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     cfg = skyrmion_cfg(tmp_path, first)

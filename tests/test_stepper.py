@@ -24,7 +24,7 @@ from llgsip.stepper import (
     SolverConfig,
     _along_axis,
     _axis_eigenbasis,
-    _tangent_diffusion_preconditioner,
+    _tangent_plane_preconditioner,
     ingest_initial,
     normalize,
     operator_apply,
@@ -140,37 +140,55 @@ def test_axis_eigenbasis_reproduces_laplacian(boundary, rng):
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
 def test_preconditioner_inverts_operator_on_uniform_state(boundary, rng):
-    # uniform m and beta = 0: A = m m^T + P (I - gamma dt lap) P exactly, so
-    # M^-1 A = I and one Krylov iteration solves the system
-    grid = GridSpec((6, 5), (0.4, 0.4), boundary=boundary)
-    m = VectorField.constant(grid, (0.6, 0.0, 0.8))
-    params = SchemeParams(
-        beta=0.0,
-        gamma=1.3,
-        dt=0.2,
-        forcing=lambda x, y, t: (np.sin(3 * x) * np.cos(y), x * y, np.cos(x + y)),
-    )
-    v = random_field(grid, rng)
-    apply = _tangent_diffusion_preconditioner(m, params)
-    out = apply(operator_apply(v, m, params).data.ravel())
-    assert np.max(np.abs(out - v.data.ravel())) <= 1e-13
-    # GMRES also spends a matvec on the start and on the end residual
-    for method, budget in (("gmres", 3), ("bicgstab", 2)):
-        _, iters, res = solve_intermediate(
-            m, params, SolverConfig(method=method), t_new=params.dt
+    # uniform m: per mode of lap_h the tangent part of A is a + bJ with
+    # J = m x, and the normal part is the identity, so M^-1 A = I exactly
+    # and one Krylov iteration solves the system
+    for grid in (
+        GridSpec((6, 5), (0.4, 0.4), boundary=boundary),
+        GridSpec((4, 5, 3), (0.4, 0.4, 0.4), boundary=boundary),
+    ):
+        m = VectorField.constant(grid, (0.6, 0.0, 0.8))
+        params = SchemeParams(
+            beta=-1.7,
+            gamma=1.3,
+            dt=0.2,
+            forcing=lambda x, y, *zt: (
+                np.sin(3 * x) * np.cos(y), x * y, np.cos(x + y)
+            ),
         )
-        assert iters <= budget and res <= 1e-12
+        v = random_field(grid, rng)
+        apply = _tangent_plane_preconditioner(m, params)
+        out = apply(operator_apply(v, m, params).data.ravel())
+        assert np.max(np.abs(out - v.data.ravel())) <= 1e-13
+        # GMRES also spends a matvec on the start and on the end residual
+        for method, budget in (("gmres", 3), ("bicgstab", 2)):
+            _, iters, res = solve_intermediate(
+                m, params, SolverConfig(method=method), t_new=params.dt
+            )
+            assert iters <= budget and res <= 1e-12
 
 
 def test_bubble_step_matvec_budget():
     # the 65^2 Neumann bubble of blowup_smoke.cfg takes about 215 matvecs
-    # per step without the preconditioner
+    # per step without the preconditioner, and 32 with its diffusion half
     h = 1 / 64
     grid = GridSpec((65, 65), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
     m = VectorField.from_function(grid, blowup_initial)
     params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
     _, iters, _ = solve_intermediate(m, params, TIGHT, t_new=params.dt)
-    assert iters <= 40
+    assert iters <= 16
+
+
+def test_precession_dominated_step_matvec_budget():
+    # gamma = 0.1 on the 100^2 dissipation box: 408 matvecs without the
+    # preconditioner, 169 with only its diffusion half
+    n = 100
+    h = 2 * np.pi / n
+    grid = GridSpec((n, n), (h, h))
+    m = VectorField.from_function(grid, dissipation_initial)
+    params = SchemeParams(beta=1.0, gamma=0.1, dt=0.01)
+    _, iters, _ = solve_intermediate(m, params, SolverConfig(), t_new=params.dt)
+    assert iters <= 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,7 +468,8 @@ def test_params_validation():
         SchemeParams(beta=1.0, gamma=1.0, dt=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(method="cg")
-    with pytest.raises(ValueError):
-        SolverConfig(preconditioner="fft_diffusion")
+    for retired in ("fft_diffusion", "tangent_diffusion"):
+        with pytest.raises(ValueError):
+            SolverConfig(preconditioner=retired)
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=2.0)
