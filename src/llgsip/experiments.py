@@ -41,7 +41,6 @@ BLOWUP_SNAPSHOT_TIMES = (0.0, 0.06, 0.15, 0.30, 0.32, 0.35)
 
 def _solver_config(config):
     return SolverConfig(
-        method=config.method,
         rel_tol=config.rel_tol,
         max_iter=config.max_iter,
         restart=config.restart,

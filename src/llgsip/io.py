@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .grid import PERIODIC, NEUMANN, GridSpec, VectorField
-from .stepper import KRYLOV_METHODS
 
 CSV_COLUMNS = [
     "step",
@@ -40,7 +40,6 @@ DT_POLICIES = ("fixed", "h_squared", "h_linear")
 _CHOICES = {
     "boundary": (PERIODIC, NEUMANN),
     "dt_policy": DT_POLICIES,
-    "method": KRYLOV_METHODS,
     "snapshot_format": ("text", "binary"),
     "mode": ("Q1", "Q0"),
     "lam": (1, -1),
@@ -66,7 +65,6 @@ class ExperimentConfig:
     rel_tol: float = 1e-12
     max_iter: int = 500
     restart: int = 30
-    method: str = "gmres"
     levels: tuple[int, ...] = None  # converge only
     gammas: tuple[float, ...] = None  # dissipate only
     snapshot_times: tuple[float, ...] = ()  # blowup
@@ -210,6 +208,10 @@ def _build_config(raw):
         value = getattr(cfg, key)
         if value is not None and value < 1:
             raise ConfigError(f"key '{key}': must be at least 1, got {value}")
+    if not 0.0 < cfg.t_end < np.inf:
+        raise ConfigError(f"key 't_end': must be finite and positive, got {cfg.t_end}")
+    if not cfg.steady_tol > 0:
+        raise ConfigError(f"key 'steady_tol': must be positive, got {cfg.steady_tol}")
     if not 0.0 < cfg.rel_tol < 1.0:
         raise ConfigError(f"key 'rel_tol': must lie in (0, 1), got {cfg.rel_tol}")
     if cfg.dt_policy == "fixed" and cfg.dt is not None and not cfg.dt > 0:
@@ -354,10 +356,24 @@ def params_hash(params):
 
 
 def write_checkpoint(f: VectorField, path, time, step, params):
-    with open(path, "w") as fh:
-        fh.write(f"# llgsip-checkpoint 1\n# params {params_hash(params)}\n")
-    snap_path = str(path) + ".state"
-    write_snapshot(f, snap_path, time=time, step=step)
+    """Header at ``path``, state snapshot at ``path.state``.
+
+    Both are written to temporary files beside them and then moved into
+    place, state first, so a failed write leaves the previous checkpoint
+    whole.
+    """
+    path = str(path)
+    state_tmp, header_tmp = path + ".state.tmp", path + ".tmp"
+    try:
+        write_snapshot(f, state_tmp, time=time, step=step)
+        with open(header_tmp, "w") as fh:
+            fh.write(f"# llgsip-checkpoint 1\n# params {params_hash(params)}\n")
+        os.replace(state_tmp, path + ".state")
+        os.replace(header_tmp, path)
+    finally:
+        for tmp in (state_tmp, header_tmp):
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def read_checkpoint(path, params=None):

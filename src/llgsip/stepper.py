@@ -5,12 +5,11 @@ Each step solves the linear system
     A(mt) = mt + dt*[beta m x lap_h(mt) + gamma m x (m x lap_h(mt))]
           = m - dt*[beta m x H + gamma m x (m x H)] + dt*f
 
-matrix-free with a non-symmetric Krylov method (m the previous, pointwise
-unit state; H the explicit non-exchange field; f an optional forcing), then
-renormalizes mt node by node back onto the unit sphere.  By default the
-Krylov method is preconditioned by the inverse of A's tangent-plane
-diffusion and precession, exact for uniform m (see
-``_tangent_plane_preconditioner``).
+matrix-free with restarted GMRES (m the previous, pointwise unit state; H
+the explicit non-exchange field; f an optional forcing), then renormalizes
+mt node by node back onto the unit sphere.  By default GMRES is
+preconditioned by the inverse of A's tangent-plane diffusion and
+precession, exact for uniform m (see ``_tangent_plane_preconditioner``).
 
 In the force-free exchange-only case the intermediate solution satisfies
 mt . m == 1 and |mt| >= 1 at every node (up to solver tolerance), which is
@@ -24,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .effective_field import FieldModel, explicit_field_apply, extended_energy
 from .grid import (
@@ -35,11 +34,7 @@ from .grid import (
     l2_norm,
 )
 
-GMRES = "gmres"
-BICGSTAB = "bicgstab"
-KRYLOV_METHODS = (GMRES, BICGSTAB)
 TANGENT_PLANE = "tangent_plane"
-BICGSTAB_RESTARTS = 3
 
 
 class SolverError(RuntimeError):
@@ -73,30 +68,29 @@ class SchemeParams:
     forcing: object = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError(f"damping must be positive, got {self.gamma}")
         # dt == 0 is allowed as a degenerate case (A reduces to the identity)
-        if self.dt < 0:
+        if not self.dt >= 0:
             raise ValueError(f"time step must be nonnegative, got {self.dt}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = GMRES
     rel_tol: float = 1e-12
     max_iter: int = 500
     restart: int = 30
     preconditioner: str = TANGENT_PLANE  # or None
 
     def __post_init__(self):
-        if self.method not in KRYLOV_METHODS:
-            raise ValueError(f"unknown Krylov method {self.method!r}")
         if self.preconditioner not in (TANGENT_PLANE, None):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.restart < 1:
+            raise ValueError(f"restart must be >= 1, got {self.restart}")
 
 
 @dataclass
@@ -248,38 +242,18 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     def callback(arg):
         residuals.append(float(np.linalg.norm(np.atleast_1d(arg))))
 
-    x0 = m_prev.data.ravel()
-    if cfg.method == GMRES:
-        x, info = gmres(
-            op,
-            rhs,
-            x0=x0,
-            rtol=cfg.rel_tol,
-            atol=0.0,
-            restart=cfg.restart,
-            maxiter=cfg.max_iter,
-            M=M,
-            callback=callback,
-            callback_type="pr_norm",
-        )
-    else:
-        # SciPy's BiCGStab stops when rho or omega drops below eps^2 in
-        # absolute terms (info -10 / -11), which precession-dominated solves
-        # can reach before rel_tol; a restart from the last iterate renews
-        # the shadow residual.  All attempts share one max_iter budget.
-        done = [0]
-
-        def count(_):
-            done[0] += 1
-
-        x = x0
-        for _ in range(1 + BICGSTAB_RESTARTS):
-            x, info = bicgstab(
-                op, rhs, x0=x, rtol=cfg.rel_tol, atol=0.0,
-                maxiter=cfg.max_iter - done[0], M=M, callback=count,
-            )
-            if info >= 0:
-                break
+    x, info = gmres(
+        op,
+        rhs,
+        x0=m_prev.data.ravel(),
+        rtol=cfg.rel_tol,
+        atol=0.0,
+        restart=cfg.restart,
+        maxiter=cfg.max_iter,
+        M=M,
+        callback=callback,
+        callback_type="pr_norm",
+    )
 
     residual = float(np.linalg.norm(matvec(x) - rhs) / b_norm)
     matvec_count[0] -= 1  # the residual check above is not a solver iteration

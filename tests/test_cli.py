@@ -208,13 +208,21 @@ def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key)
         (["gamma=nan"], "gamma"),
         (["kappa=-1"], "kappa"),
         (["lam=2"], "lam"),
+        (["t_end=nan"], "t_end"),
+        (["t_end=-1"], "t_end"),
+        (["t_end=inf"], "t_end"),
+        (["steady_tol=nan"], "steady_tol"),
+        (["steady_tol=-1"], "steady_tol"),
     ],
     ids=["restart", "max_iter", "cadence", "max_steps", "rel_tol-above-1",
-         "rel_tol-zero", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam"],
+         "rel_tol-zero", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam",
+         "t_end-nan", "t_end-negative", "t_end-inf", "steady_tol-nan",
+         "steady_tol-negative"],
 )
 def test_bad_numeric_keys_exit_with_config_error(tmp_path, capsys, overrides, key):
     # each used to end in a traceback, a run of the default 200000-step
-    # budget (max_steps = 0) or the seed written as the relaxed state (dt = 0)
+    # budget (max_steps = 0, or a steady_tol that can never be met), the
+    # seed written as the relaxed state (dt = 0) or no step at all (t_end < 0)
     out = tmp_path / "o"
     argv = ["skyrmion", "--config", skyrmion_cfg(tmp_path, out)]
     for override in overrides:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from llgsip import io as llgsip_io
 from llgsip.io import (
     ConfigError,
     ExperimentConfig,
@@ -227,3 +228,29 @@ def test_checkpoint_round_trip_and_hash_guard(tmp_path, rng):
     # without params the hash is not enforced
     g2, _, _ = read_checkpoint(path)
     assert np.array_equal(g2.data, f.data)
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):
+    # the second checkpoint's snapshot write dies part-way through its header
+    grid = GridSpec((6, 6), (0.5, 0.5))
+    first, second = random_unit_field(grid, rng), random_unit_field(grid, rng)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.01)
+    path = tmp_path / "ck.ckpt"
+    write_checkpoint(first, path, time=2.5, step=250, params=params)
+    files = sorted(tmp_path.iterdir())
+    assert [p.name for p in files] == ["ck.ckpt", "ck.ckpt.state"]
+    before = [p.read_bytes() for p in files]
+
+    def failing_write_snapshot(f, snap_path, **kwargs):
+        with open(snap_path, "w") as fh:
+            fh.write("# llgsip-snapshot 1\n# dim 2\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(llgsip_io, "write_snapshot", failing_write_snapshot)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(second, path, time=3.0, step=300, params=params)
+    assert sorted(tmp_path.iterdir()) == files  # no temporary file left behind
+    assert [p.read_bytes() for p in files] == before
+    g, time, step = read_checkpoint(path, params=params)
+    assert np.array_equal(g.data, first.data)
+    assert (time, step) == (2.5, 250)
