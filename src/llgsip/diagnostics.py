@@ -1,13 +1,13 @@
-"""Streaming error norms, skyrmion number and the scheme-invariant checks."""
+"""Streaming error norms, skyrmion number and the gradient-reduction check."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .effective_field import UnsupportedConfigurationError, exchange_energy
+from .effective_field import UnsupportedConfigurationError
 from .grid import (
     VectorField,
     array_central_difference,
@@ -112,91 +112,27 @@ def skyrmion_number(m: VectorField) -> float:
     return float(grid.cell_volume * np.sum(w * integrand) / (4.0 * np.pi))
 
 
-# ---------------------------------------------------------------------------
-# invariant suite
-# ---------------------------------------------------------------------------
+class GradientReductionCheck:
+    """Opt-in run callback: the projection may not raise the gradient on any
+    face, |grad m^(n+1)| <= |grad mt| + ``tol``, which holds where |mt| >= 1.
 
-@dataclass
-class InvariantCheck:
-    name: str
-    passed: bool
-    worst: float
-    tolerance: float
-
-
-@dataclass
-class InvariantReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-    def add(self, name, worst, tolerance, larger_is_worse=True):
-        ok = worst <= tolerance if larger_is_worse else worst >= tolerance
-        self.checks.append(InvariantCheck(name, bool(ok), float(worst), tolerance))
-
-    def summary(self):
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.name}: worst={c.worst:.3e} tol={c.tolerance:.1e}")
-        return "\n".join(lines)
-
-
-class StreamingInvariantChecker:
-    """Per-step scheme-invariant tracker usable as a run callback.
-
-    Retains only worst-case scalars, so it fits long production runs.
+    It costs two gradients per step, so ``step`` does not measure it.  Keeps
+    the worst excess over all steps and one message per failing step.
     """
 
-    def __init__(self):
-        self.worst_len = 0.0
-        self.worst_min_tilde = np.inf
-        self.worst_orth = 0.0
-        self.worst_grad = -np.inf
-        self.worst_energy_rise = -np.inf
-        self._prev_energy = None
-        self.steps = 0
+    def __init__(self, tol=1e-12):
+        self.tol = tol
+        self.worst = -np.inf
+        self.failures = []
 
     def __call__(self, report, m_prev, m_tilde, m_new):
-        self.steps += 1
-        self.worst_len = max(
-            self.worst_len, float(np.max(np.abs(m_new.pointwise_norm() - 1.0)))
+        excess = max(
+            float(np.max(np.linalg.norm(gn, axis=-1) - np.linalg.norm(gt, axis=-1)))
+            for gn, gt in zip(gradient_apply(m_new).axes, gradient_apply(m_tilde).axes)
         )
-        self.worst_min_tilde = min(
-            self.worst_min_tilde, float(np.min(m_tilde.pointwise_norm()))
-        )
-        dots = np.sum(m_tilde.data * m_prev.data, axis=-1)
-        self.worst_orth = max(self.worst_orth, float(np.max(np.abs(dots - 1.0))))
-        g_new = gradient_apply(m_new)
-        g_tilde = gradient_apply(m_tilde)
-        for gn, gt in zip(g_new.axes, g_tilde.axes):
-            excess = np.sqrt(np.sum(gn ** 2, axis=-1)) - np.sqrt(
-                np.sum(gt ** 2, axis=-1)
+        self.worst = max(self.worst, excess)
+        if not excess <= self.tol:
+            self.failures.append(
+                f"|grad m|-|grad mt| = {excess!r} at step {report.step_index} "
+                f"(bound <= {self.tol!r})"
             )
-            self.worst_grad = max(self.worst_grad, float(np.max(excess)))
-        e_prev = (
-            self._prev_energy
-            if self._prev_energy is not None
-            else exchange_energy(m_prev)
-        )
-        e_new = exchange_energy(m_new)
-        self.worst_energy_rise = max(self.worst_energy_rise, e_new - e_prev)
-        self._prev_energy = e_new
-
-    def report(self) -> InvariantReport:
-        report = InvariantReport()
-        if self.steps == 0:
-            return report
-        report.add("length preservation ||m|-1|", self.worst_len, 1e-14)
-        report.add(
-            "intermediate lower bound min|mt|",
-            self.worst_min_tilde,
-            1.0 - 1e-9,
-            larger_is_worse=False,
-        )
-        report.add("orthogonal increment |mt.m - 1|", self.worst_orth, 1e-9)
-        report.add("gradient reduction |grad m| - |grad mt|", self.worst_grad, 1e-12)
-        report.add("energy dissipation per step", self.worst_energy_rise, 1e-8)
-        return report

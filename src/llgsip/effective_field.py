@@ -7,7 +7,6 @@ of the effective field, evaluated explicitly at the previous state:
     exchange-only:  zero field
     extended:       kappa*m3*e3
                     - 2*lam*[D2 m3 e1 - D1 m3 e2 + (D1 m2 - D2 m1) e3]
-                    + zeeman
 
 with D1, D2 second-order central differences at the nodes.  The extended
 model is the planar thin-film setup with easy-axis anisotropy and a
@@ -41,13 +40,11 @@ class FieldModel:
 
     kappa:  dimensionless easy-axis anisotropy (>= 0)
     lam:    DMI chirality, +1 or -1
-    zeeman: external field vector (defaults to zero)
     """
 
     variant: str = EXCHANGE_ONLY
     kappa: float = 0.0
     lam: int = 1
-    zeeman: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.variant not in (EXCHANGE_ONLY, EXTENDED):
@@ -63,8 +60,8 @@ class FieldModel:
         return cls(EXCHANGE_ONLY)
 
     @classmethod
-    def extended(cls, kappa, lam, zeeman=(0.0, 0.0, 0.0)):
-        return cls(EXTENDED, float(kappa), int(lam), tuple(float(z) for z in zeeman))
+    def extended(cls, kappa, lam):
+        return cls(EXTENDED, float(kappa), int(lam))
 
 
 def _require_2d(m, model):
@@ -101,7 +98,6 @@ def explicit_field_apply(m: VectorField, model: FieldModel) -> VectorField:
     out[..., 0] -= 2.0 * lam * d2m3
     out[..., 1] += 2.0 * lam * d1m3
     out[..., 2] -= 2.0 * lam * (d1m2 - d2m1)
-    out += np.asarray(model.zeeman)
     return VectorField(grid, out)
 
 
@@ -128,12 +124,6 @@ def anisotropy_energy(m: VectorField, kappa) -> float:
     return float(0.5 * kappa * m.grid.cell_volume * np.sum(w * planar))
 
 
-def zeeman_energy(m: VectorField, zeeman) -> float:
-    w = _node_weights(m.grid)
-    dots = np.tensordot(m.data, np.asarray(zeeman), axes=([-1], [0]))
-    return float(-m.grid.cell_volume * np.sum(w * dots))
-
-
 def extended_energy(m: VectorField, model: FieldModel) -> float:
     """Total discrete energy of the configured model.
 
@@ -144,9 +134,5 @@ def extended_energy(m: VectorField, model: FieldModel) -> float:
     if model.variant == EXCHANGE_ONLY:
         return exchange_energy(m)
     _require_2d(m, model)
-    e = exchange_energy(m)
-    e += anisotropy_energy(m, model.kappa)
-    e += dmi_energy(m, model.lam)
-    if any(z != 0.0 for z in model.zeeman):
-        e += zeeman_energy(m, model.zeeman)
-    return e
+    return (exchange_energy(m) + anisotropy_energy(m, model.kappa)
+            + dmi_energy(m, model.lam))

@@ -2,7 +2,9 @@
 
 Each ``cmd_*`` function takes a parsed ExperimentConfig, writes its CSV
 time series / snapshots under ``config.out_dir`` and returns a small result
-object whose ``ok`` flag drives the process exit status.
+object whose ``ok`` flag drives the process exit status.  The unforced
+experiments list in ``violations`` every step that broke one of the
+scheme's guarantees.
 """
 
 from __future__ import annotations
@@ -61,17 +63,35 @@ def _snapshot_path(config, stem):
 class _EnergyLog:
     """Run callback keeping the CSV rows of row 0 (the initial state, at
     ``step`` and ``time``) and of every ``cadence``-th step; ``columns`` maps
-    each extra CSV column to the function of the state that fills it."""
+    each extra CSV column to the function of the state that fills it.
 
-    def __init__(self, initial, model, columns=None, cadence=1, step=0, time=0.0):
+    It checks every step, logged or not, and keeps one message per failure
+    in ``violations``: an energy rise above ``energy_tol`` since the step
+    before, and each failure of the report's invariants.  Exchange-only
+    runs allow a rise of 1e-8, round-off only: the scheme is provably
+    dissipative.  The skyrmion relaxation allows 1e-6, because its explicit
+    anisotropy and DMI field is not provably dissipative.
+    """
+
+    def __init__(self, initial, model, energy_tol, columns=None, cadence=1, step=0,
+                 time=0.0):
         self.columns = columns or {}
         self.cadence = cadence
+        self.energy_tol = energy_tol
         # through the module, so a caller may substitute extended_energy
-        energy = effective_field.extended_energy(initial, model)
-        self.rows = [[step, time, energy, 1.0, 0.0, 0, 0.0]
+        self.energy = effective_field.extended_energy(initial, model)
+        self.rows = [[step, time, self.energy, 1.0, 0.0, 0, 0.0]
                      + [fn(initial) for fn in self.columns.values()]]
+        self.violations = []
 
     def __call__(self, report, m_prev, m_tilde, m_new):
+        rise = report.energy - self.energy
+        if rise > self.energy_tol:
+            self.violations.append(
+                f"energy rose by {rise:.3e} at step {report.step_index}"
+            )
+        self.energy = report.energy
+        self.violations += report.invariant_failures()
         if report.step_index % self.cadence == 0:
             extra = [fn(m_new) for fn in self.columns.values()]
             self.rows.append(report_row(report, extra=extra))
@@ -79,20 +99,6 @@ class _EnergyLog:
     def series(self):
         """(step, time, energy, *extra columns) of every logged row."""
         return [(row[0], row[1], row[2], *row[len(CSV_COLUMNS):]) for row in self.rows]
-
-    def rises(self, tol):
-        """(step, rise) wherever the energy rose by more than ``tol`` since
-        the previous logged row.
-
-        Exchange-only runs allow 1e-8, round-off only: the scheme is provably
-        dissipative.  The skyrmion relaxation allows 1e-6, because its
-        explicit anisotropy and DMI field is not provably dissipative.
-        """
-        return [
-            (new[0], new[2] - old[2])
-            for old, new in zip(self.rows, self.rows[1:])
-            if new[2] - old[2] > tol
-        ]
 
     def write(self, path):
         write_csv(self.rows, path, extra_columns=list(self.columns))
@@ -164,7 +170,7 @@ def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
 @dataclass
 class DissipateResult:
     energies: dict  # gamma -> list of (step, time, energy)
-    violations: list = field(default_factory=list)  # (gamma, step, rise)
+    violations: list = field(default_factory=list)  # messages, "gamma=...: ..."
 
     @property
     def ok(self):
@@ -172,7 +178,10 @@ class DissipateResult:
 
 
 def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateResult:
-    """Damping-parameter sweep checking monotone energy decay per step."""
+    """Damping-parameter sweep checking monotone energy decay per step.
+
+    ``extra_callbacks`` maps a gamma to further run callbacks for its run.
+    """
     out = _ensure_out(config)
     gammas = config.gammas or DEFAULT_GAMMAS
     result = DissipateResult(energies={})
@@ -181,12 +190,12 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
         dt = config.resolve_dt(grid)
         params = SchemeParams(beta=config.beta, gamma=gamma, dt=dt)
         initial = VectorField.from_function(grid, exact_data.dissipation_initial)
-        log = _EnergyLog(initial, params.model)
+        log = _EnergyLog(initial, params.model, energy_tol=1e-8)
         callbacks = [log]
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
         run(initial, params, _solver_config(config), config.t_end, callbacks=callbacks)
-        result.violations += [(gamma, *v) for v in log.rises(1e-8)]
+        result.violations += [f"gamma={gamma:g}: {v}" for v in log.violations]
         result.energies[gamma] = log.series()
         log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
     return result
@@ -232,13 +241,13 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
             )
             snapshots.append((t_snap, path))
 
-    log = _EnergyLog(initial, params.model)
+    log = _EnergyLog(initial, params.model, energy_tol=1e-8)
     run(initial, params, _solver_config(config), config.t_end, callbacks=[log, snap])
     log.write(os.path.join(out, "blowup_energy.csv"))
     return BlowupResult(
         snapshots=snapshots,
         energies=log.series(),
-        violations=log.rises(1e-8),
+        violations=log.violations,
     )
 
 
@@ -284,7 +293,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
                                                            config.seed_radius)
         )
 
-    log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
+    log = _EnergyLog(initial, model, energy_tol=1e-6, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
     budget = 200000 if config.max_steps is None else config.max_steps
     t_end = t_start + budget * dt
@@ -317,5 +326,5 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         steady=res.steady,
         series=log.series(),
         snapshot_path=snap_path,
-        violations=log.rises(1e-6),
+        violations=log.violations,
     )

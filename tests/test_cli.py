@@ -1,14 +1,29 @@
 """End-to-end command-line harness tests on tiny configurations."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import llgsip.cli
+from llgsip import stepper
 from llgsip.cli import main
-from llgsip.experiments import cmd_converge, format_error_table
+from llgsip.effective_field import FieldModel
+from llgsip.experiments import (
+    BlowupResult,
+    DissipateResult,
+    SkyrmionResult,
+    _EnergyLog,
+    cmd_converge,
+    format_error_table,
+)
+from llgsip.grid import GridSpec, VectorField
 from llgsip.io import parse_config
+from llgsip.stepper import StepReport
 
 
 TWO_PI = 2 * np.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -246,3 +261,71 @@ def test_resumed_skyrmion_csv_starts_at_checkpoint(tmp_path):
     assert after["step"][0] == 6 and after["time"][0] == before["time"][-1]
     assert after["energy"][0] == before["energy"][-1]
     assert list(after["step"][1:]) == [7, 8, 9, 10]
+
+
+# ---------------------------------------------------------------------------
+# invariant checks and the exit status
+# ---------------------------------------------------------------------------
+
+def clean_report(k):
+    return StepReport(step_index=k, time=0.1 * k, krylov_iters=5, residual=1e-13,
+                      min_intermediate_length=1.0, energy=-1.0 * k, max_length_error=2e-16,
+                      max_orthogonality_error=4e-16)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        # a rise over the step before, still below the initial energy
+        ("energy", -1.5, "energy rose by 5.000e-01 at step 3"),
+        ("max_length_error", 1e-12, "||m|-1| = 1e-12 at step 3"),
+        ("min_intermediate_length", 0.5, "min|mt| = 0.5 at step 3"),
+        ("max_orthogonality_error", 1e-6, "|mt.m-1| = 1e-06 at step 3"),
+    ],
+    ids=["energy", "length", "intermediate", "orthogonality"],
+)
+def test_energy_log_flags_each_broken_invariant(name, value, message):
+    # step 3 is not a logged row at cadence 2, and is checked all the same
+    m = VectorField.constant(GridSpec((4, 4), (0.5, 0.5)), (0.0, 0.0, 1.0))
+    log = _EnergyLog(m, FieldModel.exchange_only(), energy_tol=1e-8, cadence=2)
+    for k in range(1, 5):
+        report = clean_report(k)
+        if k == 3:
+            setattr(report, name, value)
+        log(report, m, m, m)
+    [violation] = log.violations
+    assert violation.startswith(message)
+    assert [row[0] for row in log.rows] == [0, 2, 4]
+
+
+@pytest.mark.parametrize("command", ["dissipate", "blowup", "skyrmion"])
+def test_violations_exit_1_and_print_each_message(tmp_path, capsys, monkeypatch,
+                                                   command):
+    messages = ["energy rose by 1.000e-03 at step 2",
+                "min|mt| = 0.5 at step 3 (bound >= 0.999999999)"]
+    result = {
+        "dissipate": DissipateResult(energies={1.0: [(0, 0.0, 1.0), (1, 0.1, 1.001)]},
+                                     violations=messages),
+        "blowup": BlowupResult(snapshots=[], energies=[], violations=messages),
+        "skyrmion": SkyrmionResult(final_state=None, charge=1.0, steady=True,
+                                   series=[], snapshot_path="x", violations=messages),
+    }[command]
+    monkeypatch.setattr(llgsip.cli, f"cmd_{command}", lambda config, **kw: result)
+    cfg = {"dissipate": "dissipate.cfg", "blowup": "blowup_smoke.cfg",
+           "skyrmion": "skyrmion_q1_smoke.cfg"}[command]
+    assert main([command, "--config", str(CONFIG_DIR / cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == messages
+
+
+def test_length_fault_in_a_real_run_exits_1(tmp_path, capsys, monkeypatch):
+    # a projection that misses the sphere by 1e-6 breaks ||m|-1| <= 1e-14
+    normalize = stepper.normalize
+    monkeypatch.setattr(
+        stepper, "normalize",
+        lambda mt: VectorField(mt.grid, (1.0 + 1e-6) * normalize(mt).data),
+    )
+    code = main(["dissipate", "--config", dissipate_cfg(tmp_path, tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert any(line.startswith("gamma=0.5: ||m|-1| = ") and "at step 1" in line
+               for line in err)

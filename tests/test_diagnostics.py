@@ -8,7 +8,7 @@ import pytest
 from llgsip.diagnostics import (
     ErrorAccumulator,
     ExactSolution,
-    StreamingInvariantChecker,
+    GradientReductionCheck,
     attach_rates,
     convergence_rate,
     skyrmion_number,
@@ -65,7 +65,7 @@ def accumulate(exact, times, fields, dt):
     acc = ErrorAccumulator(exact, fields[0].grid, dt)
     acc.seed(fields[0], times[0])
     for k, (t, m) in enumerate(zip(times[1:], fields[1:]), 1):
-        report = StepReport(k, t, 0, 0.0, 1.0, 0.0, 0.0)
+        report = StepReport(k, t, 0, 0.0, 1.0, 0.0, 0.0, 0.0)
         acc(report, None, None, m)
     return acc
 
@@ -171,7 +171,7 @@ def test_skyrmion_number_against_refined_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# invariant suite
+# scheme invariants
 # ---------------------------------------------------------------------------
 
 def dissipation_run(callback, n=16, steps=5, dt=0.05):
@@ -187,34 +187,31 @@ def dissipation_run(callback, n=16, steps=5, dt=0.05):
     )
 
 
-def test_invariant_suite_passes_on_clean_run():
-    checker = StreamingInvariantChecker()
-    dissipation_run(checker)
-    report = checker.report()
-    assert checker.steps == 5
-    assert report.all_passed, report.summary()
-    names = [c.name for c in report.checks]
-    assert len(names) == 5
+def test_step_invariants_pass_on_clean_run():
+    reports = []
+    gradient = GradientReductionCheck()
+
+    def both(report, *states):
+        reports.append(report)
+        gradient(report, *states)
+
+    dissipation_run(both)
+    assert len(reports) == 5
+    assert [f for r in reports for f in r.invariant_failures()] == []
+    assert gradient.failures == [] and gradient.worst <= 1e-12
 
 
-def test_invariant_suite_detects_injected_length_fault():
-    checker = StreamingInvariantChecker()
+def test_gradient_reduction_check_detects_injected_fault():
+    gradient = GradientReductionCheck()
 
     def faulty(report, m_prev, m_tilde, m_new):
         if report.step_index == 3:
+            # a node turned away from its neighbours steepens four faces
             m_new = VectorField(m_new.grid, m_new.data.copy())
-            m_new.data[2, 3] *= 1.01
-        checker(report, m_prev, m_tilde, m_new)
+            m_new.data[2, 3] = -m_new.data[2, 3]
+        gradient(report, m_prev, m_tilde, m_new)
 
-    dissipation_run(faulty, steps=3)
-    report = checker.report()
-    assert not report.all_passed
-    failed = [c.name for c in report.checks if not c.passed]
-    assert any("length" in name for name in failed)
-    assert "FAIL" in report.summary()
-
-
-def test_invariant_suite_empty_history():
-    report = StreamingInvariantChecker().report()
-    assert report.checks == []
-    assert report.all_passed
+    dissipation_run(faulty, steps=4)
+    [message] = gradient.failures
+    assert message.startswith("|grad m|-|grad mt| = ") and "at step 3" in message
+    assert gradient.worst > 1.0

@@ -134,6 +134,7 @@ def test_csv_byte_determinism(tmp_path):
             min_intermediate_length=1.0 + 1e-5 * k,
             energy=10.0 / (k + 1),
             max_length_error=2.2e-16,
+            max_orthogonality_error=4.4e-16,
         )
         for k in range(4)
     ]

@@ -28,6 +28,7 @@ from llgsip.stepper import (
     operator_apply,
     run,
     SolverError,
+    StepReport,
     solve_intermediate,
     step,
 )
@@ -217,6 +218,19 @@ def test_solver_error_carries_residual_history(rng):
     assert len(history) == 3 and all(0 < r < np.inf for r in history)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_true_residual_decides_over_gmres_info(seed):
+    # one GMRES cycle ends with info = 1, as its preconditioned residual
+    # misses rel_tol, yet the true residual passes the 10 * rel_tol check
+    rng = np.random.default_rng(seed)
+    m = random_unit_field(GridSpec((4, 4), (0.5, 0.5)), rng)
+    cfg = SolverConfig(max_iter=1)
+    _, _, residual = solve_intermediate(
+        m, SchemeParams(beta=1.0, gamma=1.0, dt=0.5), cfg, t_new=0.5
+    )
+    assert residual <= 10 * cfg.rel_tol
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -261,6 +275,32 @@ def test_step_uniform_fixed_point():
     m_new, mt, rep = step(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, t_new=0.1)
     assert np.max(np.abs(m_new.data - m.data)) <= 1e-12
     assert rep.max_length_error <= 1e-14
+
+
+def test_step_report_measures_the_invariants(rng):
+    grid = GridSpec((12, 12), (2 * np.pi / 12,) * 2)
+    m = random_unit_field(grid, rng)
+    m_new, mt, rep = step(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.01), TIGHT,
+                          t_new=0.01, step_index=4)
+    dots = np.sum(mt.data * m.data, axis=-1)
+    assert rep.max_orthogonality_error == np.max(np.abs(dots - 1.0))
+    assert rep.min_intermediate_length == np.min(mt.pointwise_norm())
+    assert rep.invariant_failures() == []
+
+
+@pytest.mark.parametrize("name, value, what", [
+    ("max_length_error", 1e-12, "||m|-1|"),
+    ("min_intermediate_length", 0.99, "min|mt|"),
+    ("max_orthogonality_error", 1e-6, "|mt.m-1|"),
+    ("max_orthogonality_error", float("nan"), "|mt.m-1|"),
+], ids=["length", "intermediate", "orthogonality", "orthogonality-nan"])
+def test_invariant_failures_name_invariant_step_and_value(name, value, what):
+    rep = StepReport(step_index=7, time=0.7, krylov_iters=3, residual=1e-13,
+                     min_intermediate_length=1.0, energy=1.0, max_length_error=0.0,
+                     max_orthogonality_error=0.0)
+    setattr(rep, name, value)
+    [message] = rep.invariant_failures()
+    assert message.startswith(f"{what} = {value!r} at step 7")
 
 
 def test_one_step_energy_decrease():
