@@ -1,4 +1,5 @@
-"""Streaming error norms, skyrmion number and the gradient-reduction check."""
+"""Streaming error norms, skyrmion number, the gradient-reduction check and
+the capped failure log of a run."""
 
 from __future__ import annotations
 
@@ -112,18 +113,48 @@ def skyrmion_number(m: VectorField) -> float:
     return float(grid.cell_volume * np.sum(w * integrand) / (4.0 * np.pi))
 
 
+class FailureLog:
+    """Failure messages of a run: the first ``SHOWN`` of each kind, then one
+    line per kind counting the rest, so a systematic fault in a long run
+    prints a few lines, not one per step."""
+
+    SHOWN = 5
+
+    def __init__(self):
+        self.shown = []
+        self.counts = {}
+
+    def add(self, kind, message):
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if self.counts[kind] <= self.SHOWN:
+            self.shown.append(message)
+
+    @property
+    def messages(self):
+        return self.shown + [f"{kind}: {n - self.SHOWN} more failing steps"
+                             for kind, n in self.counts.items() if n > self.SHOWN]
+
+
+# |grad m^(n+1)| - |grad mt| allowed on a face: round-off only
+GRADIENT_REDUCTION_TOL = 1e-12
+
+
 class GradientReductionCheck:
     """Opt-in run callback: the projection may not raise the gradient on any
-    face, |grad m^(n+1)| <= |grad mt| + ``tol``, which holds where |mt| >= 1.
+    face, |grad m^(n+1)| <= |grad mt| + GRADIENT_REDUCTION_TOL, which holds
+    where |mt| >= 1.
 
     It costs two gradients per step, so ``step`` does not measure it.  Keeps
-    the worst excess over all steps and one message per failing step.
+    the worst excess over all steps and the failure messages in ``failures``.
     """
 
-    def __init__(self, tol=1e-12):
-        self.tol = tol
+    def __init__(self):
         self.worst = -np.inf
-        self.failures = []
+        self.log = FailureLog()
+
+    @property
+    def failures(self):
+        return self.log.messages
 
     def __call__(self, report, m_prev, m_tilde, m_new):
         excess = max(
@@ -131,8 +162,9 @@ class GradientReductionCheck:
             for gn, gt in zip(gradient_apply(m_new).axes, gradient_apply(m_tilde).axes)
         )
         self.worst = max(self.worst, excess)
-        if not excess <= self.tol:
-            self.failures.append(
+        if not excess <= GRADIENT_REDUCTION_TOL:
+            self.log.add(
+                "|grad m|-|grad mt|",
                 f"|grad m|-|grad mt| = {excess!r} at step {report.step_index} "
-                f"(bound <= {self.tol!r})"
+                f"(bound <= {GRADIENT_REDUCTION_TOL!r})",
             )

@@ -134,5 +134,7 @@ def extended_energy(m: VectorField, model: FieldModel) -> float:
     if model.variant == EXCHANGE_ONLY:
         return exchange_energy(m)
     _require_2d(m, model)
-    return (exchange_energy(m) + anisotropy_energy(m, model.kappa)
-            + dmi_energy(m, model.lam))
+    e = exchange_energy(m)
+    e += anisotropy_energy(m, model.kappa)
+    e += dmi_energy(m, model.lam)
+    return e

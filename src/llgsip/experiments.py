@@ -17,6 +17,7 @@ from . import exact as exact_data
 from .diagnostics import (
     ErrorAccumulator,
     ErrorRecord,
+    FailureLog,
     attach_rates,
     skyrmion_number,
 )
@@ -65,8 +66,8 @@ class _EnergyLog:
     ``step`` and ``time``) and of every ``cadence``-th step; ``columns`` maps
     each extra CSV column to the function of the state that fills it.
 
-    It checks every step, logged or not, and keeps one message per failure
-    in ``violations``: an energy rise above ``energy_tol`` since the step
+    It checks every step, logged or not, and lists the failures in
+    ``violations``: an energy rise above ``energy_tol`` since the step
     before, and each failure of the report's invariants.  Exchange-only
     runs allow a rise of 1e-8, round-off only: the scheme is provably
     dissipative.  The skyrmion relaxation allows 1e-6, because its explicit
@@ -82,16 +83,21 @@ class _EnergyLog:
         self.energy = effective_field.extended_energy(initial, model)
         self.rows = [[step, time, self.energy, 1.0, 0.0, 0, 0.0]
                      + [fn(initial) for fn in self.columns.values()]]
-        self.violations = []
+        self.failures = FailureLog()
+
+    @property
+    def violations(self):
+        return self.failures.messages
 
     def __call__(self, report, m_prev, m_tilde, m_new):
         rise = report.energy - self.energy
         if rise > self.energy_tol:
-            self.violations.append(
-                f"energy rose by {rise:.3e} at step {report.step_index}"
+            self.failures.add(
+                "energy", f"energy rose by {rise:.3e} at step {report.step_index}"
             )
         self.energy = report.energy
-        self.violations += report.invariant_failures()
+        for what, message in report.invariant_failures().items():
+            self.failures.add(what, message)
         if report.step_index % self.cadence == 0:
             extra = [fn(m_new) for fn in self.columns.values()]
             self.rows.append(report_row(report, extra=extra))

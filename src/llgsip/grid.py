@@ -183,24 +183,27 @@ def _check_same_grid(f, g):
 # raw-array stencils (leading axes are the spatial ones, trailing shape free)
 # ---------------------------------------------------------------------------
 
-def _span(axis, start, stop):
-    """Index taking ``start:stop`` along ``axis`` and everything elsewhere."""
-    return (slice(None),) * axis + (slice(start, stop),)
-
-
 def _diff_axis(grid, values, axis):
     """Forward difference (f_{i+1} - f_i)/h at faces along ``axis``."""
     h = grid.spacing[axis]
     if grid.boundary == PERIODIC:
         return (np.roll(values, -1, axis=axis) - values) / h
-    return (values[_span(axis, 1, None)] - values[_span(axis, None, -1)]) / h
+    lo = [slice(None)] * values.ndim
+    hi = [slice(None)] * values.ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return (values[tuple(hi)] - values[tuple(lo)]) / h
 
 
 def _mid_axis(grid, values, axis):
     """Arithmetic mean of the two adjacent nodes at faces along ``axis``."""
     if grid.boundary == PERIODIC:
         return 0.5 * (np.roll(values, -1, axis=axis) + values)
-    return 0.5 * (values[_span(axis, 1, None)] + values[_span(axis, None, -1)])
+    lo = [slice(None)] * values.ndim
+    hi = [slice(None)] * values.ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return 0.5 * (values[tuple(hi)] + values[tuple(lo)])
 
 
 def _reflect_pad(grid, values, axis):
@@ -230,9 +233,13 @@ def array_laplacian(grid, values):
             ) / h2
         else:
             p = _reflect_pad(grid, values, a)
-            out += (
-                p[_span(a, 2, None)] - 2.0 * p[_span(a, 1, -1)] + p[_span(a, None, -2)]
-            ) / h2
+            lo = [slice(None)] * values.ndim
+            mid = [slice(None)] * values.ndim
+            hi = [slice(None)] * values.ndim
+            lo[a] = slice(None, -2)
+            mid[a] = slice(1, -1)
+            hi[a] = slice(2, None)
+            out += (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / h2
     return out
 
 
@@ -245,7 +252,11 @@ def array_central_difference(grid, values, axis):
     if grid.boundary == PERIODIC:
         return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
     p = _reflect_pad(grid, values, axis)
-    return (p[_span(axis, 2, None)] - p[_span(axis, None, -2)]) / (2 * h)
+    lo = [slice(None)] * values.ndim
+    hi = [slice(None)] * values.ndim
+    lo[axis] = slice(None, -2)
+    hi[axis] = slice(2, None)
+    return (p[tuple(hi)] - p[tuple(lo)]) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +289,15 @@ def _node_weights(grid):
     tensorized over axes) for Neumann grids.  These weights are what makes
     summation by parts exact for the reflection Laplacian.
     """
-    return _trapezoid(grid.counts, range(grid.dim) if grid.boundary == NEUMANN else ())
+    w = np.ones(grid.counts)
+    if grid.boundary == NEUMANN:
+        for a in range(grid.dim):
+            wa = np.ones(grid.counts[a])
+            wa[0] = wa[-1] = 0.5
+            shape = [1] * grid.dim
+            shape[a] = grid.counts[a]
+            w = w * wa.reshape(shape)
+    return w
 
 
 @lru_cache(maxsize=64)
@@ -288,20 +307,20 @@ def _face_weights(grid):
     Full weight along the differencing axis, trapezoidal weights in the
     transverse directions on Neumann grids.
     """
-    return tuple(
-        _trapezoid(shape, [b for b in range(grid.dim)
-                           if b != a and grid.boundary == NEUMANN])
-        for a, shape in enumerate(_face_counts(grid))
-    )
-
-
-def _trapezoid(shape, axes):
-    """All-ones weights, halved on the first and last slice of each of ``axes``."""
-    w = np.ones(shape)
-    for a in axes:
-        w[_span(a, None, 1)] *= 0.5
-        w[_span(a, -1, None)] *= 0.5
-    return w
+    out = []
+    for a, shape in enumerate(_face_counts(grid)):
+        w = np.ones(shape)
+        if grid.boundary == NEUMANN:
+            for b in range(grid.dim):
+                if b == a:
+                    continue
+                wb = np.ones(shape[b])
+                wb[0] = wb[-1] = 0.5
+                s = [1] * grid.dim
+                s[b] = shape[b]
+                w = w * wb.reshape(s)
+        out.append(w)
+    return tuple(out)
 
 
 def inner_product(f: VectorField, g: VectorField) -> float:

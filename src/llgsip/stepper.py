@@ -118,12 +118,12 @@ class StepReport:
     max_orthogonality_error: float
 
     def invariant_failures(self):
-        """One message per entry of ``INVARIANTS`` this step broke."""
-        failures = []
+        """{what: message} for each entry of ``INVARIANTS`` this step broke."""
+        failures = {}
         for name, what, bound, lower in INVARIANTS:
             value = float(getattr(self, name))
             if not (value >= bound if lower else value <= bound):
-                failures.append(
+                failures[what] = (
                     f"{what} = {value!r} at step {self.step_index} "
                     f"(bound {'>=' if lower else '<='} {bound!r})"
                 )

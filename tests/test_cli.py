@@ -298,6 +298,22 @@ def test_energy_log_flags_each_broken_invariant(name, value, message):
     assert [row[0] for row in log.rows] == [0, 2, 4]
 
 
+def test_energy_log_shows_few_messages_per_invariant_and_counts_the_rest():
+    # a systematic length fault on every step does not hide one energy rise
+    m = VectorField.constant(GridSpec((4, 4), (0.5, 0.5)), (0.0, 0.0, 1.0))
+    log = _EnergyLog(m, FieldModel.exchange_only(), energy_tol=1e-8)
+    for k in range(1, 21):
+        report = clean_report(k)
+        report.max_length_error = 1e-12
+        if k == 15:
+            report.energy = 0.0
+        log(report, m, m, m)
+    shown = [f"||m|-1| = 1e-12 at step {k}" for k in range(1, 6)]
+    assert [v.split(" (")[0] for v in log.violations] == [
+        *shown, "energy rose by 1.400e+01 at step 15", "||m|-1|: 15 more failing steps"
+    ]
+
+
 @pytest.mark.parametrize("command", ["dissipate", "blowup", "skyrmion"])
 def test_violations_exit_1_and_print_each_message(tmp_path, capsys, monkeypatch,
                                                    command):
