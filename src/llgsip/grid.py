@@ -183,63 +183,49 @@ def _check_same_grid(f, g):
 # raw-array stencils (leading axes are the spatial ones, trailing shape free)
 # ---------------------------------------------------------------------------
 
-def _diff_axis(grid, values, axis):
-    """Forward difference (f_{i+1} - f_i)/h at faces along ``axis``."""
-    h = grid.spacing[axis]
-    if grid.boundary == PERIODIC:
-        return (np.roll(values, -1, axis=axis) - values) / h
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return (values[tuple(hi)] - values[tuple(lo)]) / h
+def _faces(grid, values):
+    """Per axis, the (upper, lower) node values at each face."""
+    for a in range(grid.dim):
+        if grid.boundary == PERIODIC:
+            yield np.roll(values, -1, axis=a), values
+        else:
+            lead = (slice(None),) * a
+            yield values[lead + (slice(1, None),)], values[lead + (slice(None, -1),)]
 
 
-def _mid_axis(grid, values, axis):
-    """Arithmetic mean of the two adjacent nodes at faces along ``axis``."""
-    if grid.boundary == PERIODIC:
-        return 0.5 * (np.roll(values, -1, axis=axis) + values)
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (values[tuple(hi)] + values[tuple(lo)])
-
-
-def _reflect_pad(grid, values, axis):
-    """Ghost-reflection padding m_{-1} = m_{1} on one axis."""
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (1, 1)
-    return np.pad(values, pad, mode="reflect")
+def _neighbours(grid, axis, n):
+    """(nodes, upper, lower) index keys covering ``axis`` of ``n`` nodes, read
+    in place; at a wall the ghost is m_{-1} = m_1, m_n = m_{n-2} (Neumann)
+    or the node across the wrap (periodic)."""
+    lo, hi = (n - 1, 0) if grid.boundary == PERIODIC else (1, n - 2)
+    ranges = ((slice(1, -1), slice(2, None), slice(None, -2)),
+              (slice(0, 1), slice(1, 2), slice(lo, lo + 1)),
+              (slice(n - 1, n), slice(hi, hi + 1), slice(n - 2, n - 1)))
+    return [[(slice(None),) * axis + (s,) for s in keys] for keys in ranges]
 
 
 def array_gradient(grid, values):
-    """Per-axis face arrays of forward differences of a raw array."""
-    return tuple(_diff_axis(grid, values, a) for a in range(grid.dim))
+    """Per-axis face arrays of forward differences (f_{i+1} - f_i)/h."""
+    return tuple((hi - lo) / h for (hi, lo), h in zip(_faces(grid, values), grid.spacing))
 
 
 def array_midpoint(grid, values):
-    return tuple(_mid_axis(grid, values, a) for a in range(grid.dim))
+    """Per-axis face arrays of the means (f_{i+1} + f_i)/2."""
+    return tuple(0.5 * (hi + lo) for hi, lo in _faces(grid, values))
 
 
 def array_laplacian(grid, values):
-    """Second-order 3-point Laplacian of a raw array."""
+    """Second-order 3-point Laplacian ((f_{i+1} - 2f_i) + f_{i-1})/h^2."""
     out = np.zeros_like(values)
+    term = np.empty_like(values)
     for a in range(grid.dim):
-        h2 = grid.spacing[a] ** 2
-        if grid.boundary == PERIODIC:
-            out += (
-                np.roll(values, -1, axis=a) - 2.0 * values + np.roll(values, 1, axis=a)
-            ) / h2
-        else:
-            p = _reflect_pad(grid, values, a)
-            lo = [slice(None)] * values.ndim
-            mid = [slice(None)] * values.ndim
-            hi = [slice(None)] * values.ndim
-            lo[a] = slice(None, -2)
-            mid[a] = slice(1, -1)
-            hi[a] = slice(2, None)
-            out += (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / h2
+        np.multiply(values, 2.0, out=term)
+        for nodes, hi, lo in _neighbours(grid, a, values.shape[a]):
+            t = term[nodes]
+            np.subtract(values[hi], t, out=t)
+            t += values[lo]
+        term /= grid.spacing[a] ** 2
+        out += term
     return out
 
 
@@ -248,15 +234,11 @@ def array_central_difference(grid, values, axis):
 
     With ghost reflection the derivative vanishes at Neumann walls.
     """
-    h = grid.spacing[axis]
-    if grid.boundary == PERIODIC:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
-    p = _reflect_pad(grid, values, axis)
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    lo[axis] = slice(None, -2)
-    hi[axis] = slice(2, None)
-    return (p[tuple(hi)] - p[tuple(lo)]) / (2 * h)
+    out = np.empty_like(values)
+    for nodes, hi, lo in _neighbours(grid, axis, values.shape[axis]):
+        np.subtract(values[hi], values[lo], out=out[nodes])
+    out /= 2 * grid.spacing[axis]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +263,16 @@ def laplacian_apply(f: VectorField) -> VectorField:
 # weights, inner products, norms
 # ---------------------------------------------------------------------------
 
+def _trapezoid(shape, axes):
+    """Product over ``axes`` of 1-D trapezoidal weights (half at both ends)."""
+    w = np.ones(shape)
+    for b in axes:
+        wb = np.ones(shape[b])
+        wb[0] = wb[-1] = 0.5
+        w = w * wb.reshape([-1 if c == b else 1 for c in range(len(shape))])
+    return w
+
+
 @lru_cache(maxsize=64)
 def _node_weights(grid):
     """Quadrature weight per node, shape ``counts``.
@@ -289,15 +281,7 @@ def _node_weights(grid):
     tensorized over axes) for Neumann grids.  These weights are what makes
     summation by parts exact for the reflection Laplacian.
     """
-    w = np.ones(grid.counts)
-    if grid.boundary == NEUMANN:
-        for a in range(grid.dim):
-            wa = np.ones(grid.counts[a])
-            wa[0] = wa[-1] = 0.5
-            shape = [1] * grid.dim
-            shape[a] = grid.counts[a]
-            w = w * wa.reshape(shape)
-    return w
+    return _trapezoid(grid.counts, range(grid.dim) if grid.boundary == NEUMANN else ())
 
 
 @lru_cache(maxsize=64)
@@ -307,20 +291,11 @@ def _face_weights(grid):
     Full weight along the differencing axis, trapezoidal weights in the
     transverse directions on Neumann grids.
     """
-    out = []
-    for a, shape in enumerate(_face_counts(grid)):
-        w = np.ones(shape)
-        if grid.boundary == NEUMANN:
-            for b in range(grid.dim):
-                if b == a:
-                    continue
-                wb = np.ones(shape[b])
-                wb[0] = wb[-1] = 0.5
-                s = [1] * grid.dim
-                s[b] = shape[b]
-                w = w * wb.reshape(s)
-        out.append(w)
-    return tuple(out)
+    walls = range(grid.dim) if grid.boundary == NEUMANN else ()
+    return tuple(
+        _trapezoid(shape, [b for b in walls if b != a])
+        for a, shape in enumerate(_face_counts(grid))
+    )
 
 
 def inner_product(f: VectorField, g: VectorField) -> float:

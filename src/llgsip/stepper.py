@@ -130,10 +130,25 @@ class StepReport:
         return failures
 
 
-def _cross_terms(m_data, lap, beta, gamma):
-    """beta m x lap + gamma m x (m x lap), pointwise."""
-    c1 = np.cross(m_data, lap)
-    return beta * c1 + gamma * np.cross(m_data, c1)
+def _cross(a, b, out):
+    """out = a x b over the leading axis, with the products and differences
+    of np.cross in its order (so the same bits), but no casts or copies."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
+
+
+def _cross_terms(m_data, w, beta, gamma):
+    """beta m x w + gamma m x (m x w), pointwise on component-last arrays."""
+    m, w = np.moveaxis(m_data, -1, 0), np.moveaxis(w, -1, 0)
+    c1 = _cross(m, w, np.empty_like(w))
+    c2 = _cross(m, c1, np.empty_like(w))
+    c1 *= beta
+    c2 *= gamma
+    c2 += c1
+    return np.moveaxis(c2, 0, -1)
 
 
 def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) -> VectorField:
@@ -141,7 +156,9 @@ def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) ->
     if v.grid != m_prev.grid:
         raise GridMismatchError("operand and previous state live on different grids")
     lap = array_laplacian(v.grid, v.data)
-    out = v.data + params.dt * _cross_terms(m_prev.data, lap, params.beta, params.gamma)
+    out = _cross_terms(m_prev.data, lap, params.beta, params.gamma)
+    out *= params.dt
+    out += v.data
     return VectorField(v.grid, out)
 
 
@@ -182,8 +199,12 @@ def _axis_eigenbasis(n, h, boundary):
 
 
 def _along_axis(mat, values, axis):
-    """Apply the matrix ``mat`` along one axis of a raw array."""
-    return np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+    """Apply the matrix ``mat`` along one axis of a raw array by matmul: mat
+    times each stacked (n, after) block, or on the last axis the rows times
+    mat^T.  A C-contiguous array is not copied."""
+    if axis == values.ndim - 1:
+        return values @ mat.T
+    return (mat @ values.reshape(values.shape[:axis + 1] + (-1,))).reshape(values.shape)
 
 
 def _tangent_plane_preconditioner(m_prev, params):
@@ -200,7 +221,7 @@ def _tangent_plane_preconditioner(m_prev, params):
     only the diffusion half is applied.
     """
     grid = m_prev.grid
-    m = m_prev.data
+    m = np.moveaxis(m_prev.data, -1, 0).copy()  # component-first planes
     bases = [
         _axis_eigenbasis(n, h, grid.boundary)
         for n, h in zip(grid.counts, grid.spacing)
@@ -211,24 +232,25 @@ def _tangent_plane_preconditioner(m_prev, params):
     scale = None  # beta = 0: F2 = 0 and F1 = 1/a, applied as a division by a
     if params.beta != 0:
         b = params.beta * params.dt * eig
-        scale = (np.stack((a, b)) / (a * a + b * b))[..., None]  # (F1, F2)
-    a = a[..., None]
+        scale = (np.stack((a, b)) / (a * a + b * b))[:, None]  # (F1, F2)
 
     def apply(x):
-        x = x.reshape(m.shape)
-        mx = np.einsum("...i,...i->...", m, x)[..., None]
+        # components first, here and back at the end, so that each
+        # per-axis transform of the (3, N0, N1[, N2]) planes is a matmul
+        x = np.moveaxis(x.reshape(m_prev.data.shape), -1, 0)
+        mx = np.einsum("i...,i...->...", m, x)
         t = x - m * mx
         for k, (_, _, inv) in enumerate(bases):
-            t = _along_axis(inv, t, k)
+            t = _along_axis(inv, t, k + 1)
         # (F1 t, F2 t) on a leading axis, so one inverse transform serves
         # both halves; with beta = 0 the axis holds t / a alone
         t = t[None] / a if scale is None else scale * t
         for k, (_, vecs, _) in enumerate(bases):
-            t = _along_axis(vecs, t, k + 1)
-        t = t[0] if scale is None else t[0] - np.cross(m, t[1])
+            t = _along_axis(vecs, t, k + 2)
+        t = t[0] if scale is None else t[0] - _cross(m, t[1], np.empty_like(m))
         # project back onto the tangent plane, keep m(m.x)
-        t += m * (mx - np.einsum("...i,...i->...", m, t)[..., None])
-        return t.ravel()
+        t += m * (mx - np.einsum("i...,i...->...", m, t))
+        return np.moveaxis(t, 0, -1).ravel()
 
     return apply
 
@@ -292,9 +314,10 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     return VectorField(grid, x.reshape(shape)), matvec_count[0], residual
 
 
-def normalize(m_tilde: VectorField) -> VectorField:
-    """Pointwise spherical projection mt / |mt|."""
-    lengths = m_tilde.pointwise_norm()
+def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
+    """Pointwise spherical projection mt / |mt|; ``lengths`` is |mt| if known."""
+    if lengths is None:
+        lengths = m_tilde.pointwise_norm()
     if np.min(lengths) < 1e-300:
         raise DegenerateStateError(
             "intermediate state has a (numerically) zero-length node"
@@ -308,13 +331,14 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
     Returns (m_new, m_tilde, report).
     """
     m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new)
-    m_new = normalize(m_tilde)
+    lengths = m_tilde.pointwise_norm()
+    m_new = normalize(m_tilde, lengths)
     report = StepReport(
         step_index=step_index,
         time=float(t_new),
         krylov_iters=iters,
         residual=residual,
-        min_intermediate_length=float(np.min(m_tilde.pointwise_norm())),
+        min_intermediate_length=float(np.min(lengths)),
         energy=extended_energy(m_new, params.model),
         max_length_error=float(np.max(np.abs(m_new.pointwise_norm() - 1.0))),
         max_orthogonality_error=float(np.max(np.abs(

@@ -338,7 +338,8 @@ def test_length_fault_in_a_real_run_exits_1(tmp_path, capsys, monkeypatch):
     normalize = stepper.normalize
     monkeypatch.setattr(
         stepper, "normalize",
-        lambda mt: VectorField(mt.grid, (1.0 + 1e-6) * normalize(mt).data),
+        lambda mt, *lengths: VectorField(
+            mt.grid, (1.0 + 1e-6) * normalize(mt, *lengths).data),
     )
     code = main(["dissipate", "--config", dissipate_cfg(tmp_path, tmp_path / "o")])
     err = capsys.readouterr().err.splitlines()

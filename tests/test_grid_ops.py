@@ -9,6 +9,10 @@ from llgsip.grid import (
     GridMismatchError,
     GridSpec,
     VectorField,
+    array_central_difference,
+    array_gradient,
+    array_laplacian,
+    array_midpoint,
     gradient_apply,
     gradient_inner_product,
     h1_norm,
@@ -179,6 +183,57 @@ def test_laplacian_periodic_shift_equivariance(rng):
     a = laplacian_apply(shifted).data
     b = np.roll(laplacian_apply(f).data, (2, 3), axis=(0, 1))
     assert np.array_equal(a, b)
+
+
+def padded_reference(grid, values, axis):
+    """(values, upper, lower) neighbour arrays along ``axis`` from an explicit
+    ghost layer: np.pad reflection (m_{-1} = m_1) or periodic wrap."""
+    pad = [(0, 0)] * values.ndim
+    pad[axis] = (1, 1)
+    mode = "reflect" if grid.boundary == NEUMANN else "wrap"
+    p = np.pad(values, pad, mode=mode)
+    n = values.shape[axis]
+    return tuple(np.take(p, np.arange(n) + s, axis=axis) for s in (1, 2, 0))
+
+
+STENCIL_GRIDS = [
+    GridSpec((2, 3), (0.5, 0.25)),
+    GridSpec((7, 6), (0.3, 0.7)),
+    GridSpec((5, 2, 4), (0.5, 0.4, 0.3)),
+    GridSpec((6, 5, 7), (0.2, 0.2, 0.2)),
+]
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("trailing", [(), (3,)])
+def test_node_stencils_equal_padded_reference(boundary, trailing, rng):
+    # the in-place neighbour reads give the padded stencils' bits: the same
+    # terms in the same order, ((f_{i+1} - 2 f_i) + f_{i-1}) / h^2 per axis
+    for spec in STENCIL_GRIDS:
+        grid = GridSpec(spec.counts, spec.spacing, boundary=boundary)
+        values = rng.standard_normal(grid.counts + trailing)
+        lap = np.zeros_like(values)
+        for a in range(grid.dim):
+            mid, hi, lo = padded_reference(grid, values, a)
+            lap += (hi - 2.0 * mid + lo) / grid.spacing[a] ** 2
+            central = (hi - lo) / (2 * grid.spacing[a])
+            assert np.array_equal(array_central_difference(grid, values, a), central)
+        assert np.array_equal(array_laplacian(grid, values), lap)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_face_stencils_equal_shifted_reference(boundary, rng):
+    for spec in STENCIL_GRIDS:
+        grid = GridSpec(spec.counts, spec.spacing, boundary=boundary)
+        values = rng.standard_normal(grid.counts + (3,))
+        grads, mids = array_gradient(grid, values), array_midpoint(grid, values)
+        for a in range(grid.dim):
+            hi, lo = np.roll(values, -1, axis=a), values
+            if boundary == NEUMANN:  # interior faces only
+                keep = np.arange(grid.counts[a] - 1)
+                hi, lo = hi.take(keep, axis=a), lo.take(keep, axis=a)
+            assert np.array_equal(grads[a], (hi - lo) / grid.spacing[a])
+            assert np.array_equal(mids[a], 0.5 * (hi + lo))
 
 
 # ---------------------------------------------------------------------------

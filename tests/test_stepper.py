@@ -25,6 +25,8 @@ from llgsip.stepper import (
     SolverConfig,
     _along_axis,
     _axis_eigenbasis,
+    _cross,
+    _cross_terms,
     _tangent_plane_preconditioner,
     ingest_initial,
     normalize,
@@ -74,6 +76,30 @@ def test_operator_dt_zero_is_identity(rng):
     v = random_field(grid, rng)
     out = operator_apply(v, m, SchemeParams(beta=2.0, gamma=0.5, dt=0.0))
     assert np.array_equal(out.data, v.data)
+
+
+def test_cross_equals_np_cross(rng):
+    # same products and differences in the same order: the same bits
+    for counts in ((7, 5), (4, 3, 5)):
+        a, b = rng.standard_normal((2, 3) + counts)
+        ref = np.moveaxis(np.cross(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
+        assert np.array_equal(_cross(a, b, np.empty_like(a)), ref)
+        m, w = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1).copy()
+        c1 = np.cross(m, w)
+        ref = 1.3 * c1 + 0.7 * np.cross(m, c1)
+        assert np.array_equal(_cross_terms(m, w, 1.3, 0.7), ref)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_operator_equals_np_cross_formula(boundary, rng):
+    # the matvec keeps the bits of v + dt*(beta m x lap v + gamma m x (m x lap v))
+    for grid in small_grids(boundary):
+        m, v = random_unit_field(grid, rng), random_field(grid, rng)
+        params = SchemeParams(beta=-1.7, gamma=0.3, dt=0.05)
+        lap = array_laplacian(grid, v.data)
+        c1 = np.cross(m.data, lap)
+        ref = v.data + params.dt * (params.beta * c1 + params.gamma * np.cross(m.data, c1))
+        assert np.array_equal(operator_apply(v, m, params).data, ref)
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
@@ -136,6 +162,69 @@ def test_axis_eigenbasis_reproduces_laplacian(boundary, rng):
             lap += _along_axis(vecs * lam, _along_axis(inv, f, a), a)
         ref = array_laplacian(grid, f)
         assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_along_axis_matches_tensordot(rng):
+    # component-last, component-first and stacked (F1, F2) layouts
+    for shape in ((6, 5, 3), (4, 6, 5, 3), (3, 6, 5), (3, 4, 6, 5), (2, 3, 6, 5),
+                  (2, 3, 4, 6, 5)):
+        values = rng.standard_normal(shape)
+        for axis, n in enumerate(shape):
+            mat = rng.standard_normal((n, n))
+            ref = np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+            out = _along_axis(mat, values, axis)
+            assert out.shape == shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def tensordot_preconditioner(m_prev, params):
+    """Reference apply of the tangent-plane preconditioner: components last,
+    each per-axis transform a tensordot, and F1, F2 transformed apart."""
+    grid, m = m_prev.grid, m_prev.data
+    bases = [
+        _axis_eigenbasis(n, h, grid.boundary)
+        for n, h in zip(grid.counts, grid.spacing)
+    ]
+    eig = sum(np.meshgrid(*(lam for lam, _, _ in bases), indexing="ij", sparse=True))
+    a = 1.0 - params.gamma * params.dt * eig
+    b = params.beta * params.dt * eig
+    f1, f2 = (a / (a * a + b * b))[..., None], (b / (a * a + b * b))[..., None]
+
+    def along(mat, values, axis):
+        return np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+
+    def apply(x):
+        x = x.reshape(m.shape)
+        mx = np.einsum("...i,...i->...", m, x)[..., None]
+        t = x - m * mx
+        for k, (_, _, inv) in enumerate(bases):
+            t = along(inv, t, k)
+        u, w = f1 * t, f2 * t
+        for k, (_, vecs, _) in enumerate(bases):
+            u, w = along(vecs, u, k), along(vecs, w, k)
+        t = u - np.cross(m, w)
+        t += m * (mx - np.einsum("...i,...i->...", m, t)[..., None])
+        return t.ravel()
+
+    return apply
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("beta", [0.0, -1.7])
+def test_preconditioner_matches_tensordot_reference(boundary, beta, rng):
+    params = SchemeParams(beta=beta, gamma=1.3, dt=0.2)
+    for grid in (
+        GridSpec((9, 7), (0.4, 0.4), boundary=boundary),
+        GridSpec((64, 65), (0.1, 0.1), boundary=boundary),
+        GridSpec((5, 6, 4), (0.4, 0.4, 0.4), boundary=boundary),
+    ):
+        m = random_unit_field(grid, rng)
+        x = rng.standard_normal(m.data.size)
+        before = x.copy()
+        out = _tangent_plane_preconditioner(m, params)(x)
+        ref = tensordot_preconditioner(m, params)(x)
+        assert np.array_equal(x, before)  # GMRES still holds its operand
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
