@@ -42,10 +42,9 @@ def main():
         m0,
         params,
         SolverConfig(rel_tol=1e-12),
-        t_end=1e9,
+        20000,
         callbacks=[track],
         steady_tol=1e-6,
-        max_steps=20000,
     )
     for t, e, q in history[:: max(1, len(history) // 8)]:
         print(f"  t = {t:8.2f}: E = {e:9.4f}, Q = {q:.4f}")

@@ -39,7 +39,6 @@ from .stepper import SchemeParams, SolverConfig, run
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_GAMMAS = (0.1, 0.5, 1.0, 10.0)
-BLOWUP_SNAPSHOT_TIMES = (0.0, 0.06, 0.15, 0.30, 0.32, 0.35)
 
 
 def _solver_config(config):
@@ -133,21 +132,20 @@ def format_error_table(records):
 
 def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
     """Manufactured-solution refinement study (the error-table experiment)."""
-    out = _ensure_out(config)
     levels = config.levels or DEFAULT_LEVELS
     exact = manufactured_solution(config.beta, config.gamma)
     cfg = _solver_config(config)
     records = []
     for n in levels:
         grid = config.make_grid((n, n))
-        dt = config.resolve_dt(grid)
+        dt, steps = config.time_steps(grid)
         params = SchemeParams(
             beta=config.beta, gamma=config.gamma, dt=dt, forcing=exact.forcing
         )
         initial = exact.sample(grid, 0.0)
         acc = ErrorAccumulator(exact, grid, dt)
         acc.seed(initial, 0.0)
-        run(initial, params, cfg, config.t_end, callbacks=[acc])
+        run(initial, params, cfg, steps, callbacks=[acc])
         records.append(ErrorRecord(level=n, linf_l2=acc.max_l2, l2_h1=acc.l2_h1))
     attach_rates(records)
     rows = [
@@ -160,7 +158,7 @@ def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
         ]
         for r in records
     ]
-    path = os.path.join(out, f"converge_{config.dt_policy}.csv")
+    path = os.path.join(_ensure_out(config), f"converge_{config.dt_policy}.csv")
     with open(path, "w") as fh:
         fh.write("level,linf_l2,rate_linf_l2,l2_h1,rate_l2_h1\n")
         for row in rows:
@@ -188,19 +186,19 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
 
     ``extra_callbacks`` maps a gamma to further run callbacks for its run.
     """
-    out = _ensure_out(config)
     gammas = config.gammas or DEFAULT_GAMMAS
+    grid = config.make_grid()
+    dt, steps = config.time_steps(grid)
+    out = _ensure_out(config)
     result = DissipateResult(energies={})
     for gamma in gammas:
-        grid = config.make_grid()
-        dt = config.resolve_dt(grid)
         params = SchemeParams(beta=config.beta, gamma=gamma, dt=dt)
         initial = VectorField.from_function(grid, exact_data.dissipation_initial)
         log = _EnergyLog(initial, params.model, energy_tol=1e-8)
         callbacks = [log]
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
-        run(initial, params, _solver_config(config), config.t_end, callbacks=callbacks)
+        run(initial, params, _solver_config(config), steps, callbacks=callbacks)
         result.violations += [f"gamma={gamma:g}: {v}" for v in log.violations]
         result.energies[gamma] = log.series()
         log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
@@ -223,32 +221,29 @@ class BlowupResult:
 
 
 def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
-    """Near-singularity evolution of bubble-type data, with snapshot series."""
-    out = _ensure_out(config)
+    """Near-singularity evolution of bubble-type data; snapshot t is step round(t/dt)."""
     grid = config.make_grid()
-    dt = config.resolve_dt(grid)
+    dt, steps = config.time_steps(grid)
     params = SchemeParams(beta=config.beta, gamma=config.gamma, dt=dt)
     initial = VectorField.from_function(grid, exact_data.blowup_initial)
-    pending = sorted(config.snapshot_times or BLOWUP_SNAPSHOT_TIMES)
+    times_at = {}  # step -> the snapshot times it serves
+    for t_snap in sorted(config.snapshot_times):
+        times_at.setdefault(round(t_snap / dt), []).append(t_snap)
+    out = _ensure_out(config)
 
     snapshots = []
-    if pending and abs(pending[0]) < dt / 2:
-        path, binary = _snapshot_path(config, "blowup_t0")
-        write_snapshot(initial, path, time=0.0, step=0, binary=binary)
-        snapshots.append((0.0, path))
-        pending.pop(0)
 
-    def snap(report, m_prev, m_tilde, m_new):
-        while pending and report.time >= pending[0] - dt / 2:
-            t_snap = pending.pop(0)
+    def snap(state, time, step):
+        for t_snap in times_at.get(step, ()):
             path, binary = _snapshot_path(config, f"blowup_t{t_snap:g}")
-            write_snapshot(
-                m_new, path, time=report.time, step=report.step_index, binary=binary
-            )
+            write_snapshot(state, path, time=time, step=step, binary=binary)
             snapshots.append((t_snap, path))
 
+    snap(initial, 0.0, 0)
     log = _EnergyLog(initial, params.model, energy_tol=1e-8)
-    run(initial, params, _solver_config(config), config.t_end, callbacks=[log, snap])
+    run(initial, params, _solver_config(config), steps, callbacks=[
+        log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
+                                                          report.step_index)])
     log.write(os.path.join(out, "blowup_energy.csv"))
     return BlowupResult(
         snapshots=snapshots,
@@ -277,9 +272,8 @@ class SkyrmionResult:
 
 def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     """Relax a topological seed to a static texture under the extended model."""
-    out = _ensure_out(config)
     grid = config.make_grid()
-    dt = config.resolve_dt(grid)
+    dt, budget = config.time_steps(grid)
     model = FieldModel.extended(config.kappa, config.lam)
     params = SchemeParams(beta=config.beta, gamma=config.gamma, dt=dt, model=model)
 
@@ -299,22 +293,12 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
                                                            config.seed_radius)
         )
 
+    out = _ensure_out(config)
     log = _EnergyLog(initial, model, energy_tol=1e-6, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
-    budget = 200000 if config.max_steps is None else config.max_steps
-    t_end = t_start + budget * dt
-    res = run(
-        initial,
-        params,
-        _solver_config(config),
-        t_end,
-        callbacks=[log],
-        steady_tol=config.steady_tol,
-        max_steps=budget,
-        t_start=t_start,
-        start_index=start_index,
-        override_unit_check=True,
-    )
+    res = run(initial, params, _solver_config(config), budget, callbacks=[log],
+              steady_tol=config.steady_tol, t_start=t_start, start_index=start_index,
+              override_unit_check=True)
     tag = config.mode.lower()
     snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
     last = res.reports[-1] if res.reports else None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -67,9 +68,9 @@ class ExperimentConfig:
     restart: int = 30
     levels: tuple[int, ...] = None  # converge only
     gammas: tuple[float, ...] = None  # dissipate only
-    snapshot_times: tuple[float, ...] = ()  # blowup
+    snapshot_times: tuple[float, ...] = (0.0, 0.06, 0.15, 0.30, 0.32, 0.35)  # blowup
     steady_tol: float = 1e-6  # skyrmion
-    max_steps: int = None
+    max_steps: int = 200000  # skyrmion step budget
     mode: str = "Q1"  # skyrmion: Q1 | Q0
     input_state: str = None  # skyrmion Q0: relaxed Q1 snapshot
     seed_radius: float = 3.0  # skyrmion initial profile width
@@ -89,21 +90,31 @@ class ExperimentConfig:
         return GridSpec(counts=counts, spacing=tuple(hs), origin=origin,
                         boundary=self.boundary)
 
-    def resolve_dt(self, grid):
-        """Time step for the configured policy.
+    def time_steps(self, grid):
+        """(dt, steps) of a run on ``grid``; no other code sets a run's length.
 
-        h_squared couples the step to the mesh as dt = h^2; h_linear uses
-        dt = 1/Nx, the refinement path of the published first-order error
-        table (dt proportional to h, with unit constant on the benchmark
-        box).
+        A skyrmion relaxation takes the policy's dt and ``max_steps`` steps.
+        Every other run ends exactly at ``t_end``: under 'fixed' it must be a
+        whole number of steps; h_squared (dt <= h^2) and h_linear (dt <= 1/Nx,
+        the refinement path of the published first-order error table) take
+        the fewest equal steps within that bound.  Whole counts forgive a
+        relative 1e-9: 0.35/1e-4 = 3499.9999999999995 and 1/(1/49) > 49.
         """
+        if self.dt_policy == "fixed" and self.dt is None:
+            raise ConfigError("dt policy 'fixed' requires key 'dt'")
+        dt = {"fixed": self.dt, "h_squared": grid.spacing[0] ** 2,
+              "h_linear": 1.0 / grid.counts[0]}[self.dt_policy]
+        if self.experiment == "skyrmion":
+            return dt, self.max_steps
+        ratio = self.t_end / dt
+        steps = round(ratio)
+        if steps >= 1 and abs(ratio - steps) <= 1e-9 * ratio:
+            return dt if self.dt_policy == "fixed" else self.t_end / steps, steps
         if self.dt_policy == "fixed":
-            if self.dt is None:
-                raise ConfigError("dt policy 'fixed' requires key 'dt'")
-            return self.dt
-        if self.dt_policy == "h_squared":
-            return grid.spacing[0] ** 2
-        return 1.0 / grid.counts[0]
+            raise ConfigError(f"key 't_end': {self.t_end!r} is not a whole number "
+                              f"of steps of dt = {dt!r}")
+        steps = math.ceil(ratio)
+        return self.t_end / steps, steps
 
 
 def _tuple_of(item):
@@ -205,11 +216,13 @@ def _build_config(raw):
             f"key 'kappa': anisotropy must be nonnegative, got {cfg.kappa}"
         )
     for key in ("restart", "max_iter", "cadence", "max_steps"):
-        value = getattr(cfg, key)
-        if value is not None and value < 1:
-            raise ConfigError(f"key '{key}': must be at least 1, got {value}")
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"key '{key}': must be at least 1, got {getattr(cfg, key)}")
     if not 0.0 < cfg.t_end < np.inf:
         raise ConfigError(f"key 't_end': must be finite and positive, got {cfg.t_end}")
+    if cfg.experiment == "blowup" and not all(0 <= t <= cfg.t_end for t in cfg.snapshot_times):
+        raise ConfigError(f"key 'snapshot_times': each must lie in [0, t_end = "
+                          f"{cfg.t_end!r}], got {cfg.snapshot_times}")
     if not cfg.steady_tol > 0:
         raise ConfigError(f"key 'steady_tol': must be positive, got {cfg.steady_tol}")
     if not 0.0 < cfg.rel_tol < 1.0:
@@ -271,14 +284,18 @@ def write_snapshot(f: VectorField, path, time=0.0, step=0, binary=False):
             fh.write(("\n".join(header) + "\n").encode())
             fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
         return
-    coords = grid.meshgrid()
+    # one row per node in C order: indices, coordinates, then the 3 values;
+    # 256 rows at a time, as Python lists of a whole grid take megabytes
+    coords = [c.ravel() for c in grid.meshgrid()]
+    values = f.data.reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for idx in np.ndindex(*grid.counts):
-            pieces = [str(i) for i in idx]
-            pieces += [repr(float(c[idx])) for c in coords]
-            pieces += [repr(float(v)) for v in f.data[idx]]
-            fh.write(" ".join(pieces) + "\n")
+        for lo in range(0, grid.num_nodes, 256):
+            hi = min(lo + 256, grid.num_nodes)
+            index = np.column_stack(np.unravel_index(np.arange(lo, hi), grid.counts)).tolist()
+            table = np.column_stack([c[lo:hi] for c in coords] + [values[lo:hi]]).tolist()
+            fh.writelines(" ".join(map(str, i)) + " " + " ".join(map(repr, x)) + "\n"
+                          for i, x in zip(index, table))
 
 
 def read_snapshot(path):
@@ -330,19 +347,20 @@ def read_snapshot(path):
         data = np.frombuffer(body, dtype="<f8").reshape(counts + (3,))
         return VectorField(grid, data.copy()), time, step
     body = blob[pos:].decode().strip().splitlines()
-    if len(body) != grid.num_nodes:
-        raise ConfigError(
-            f"{path}: snapshot body has {len(body)} rows, expected {grid.num_nodes}"
-        )
-    data = np.zeros(counts + (3,))
+    index, values = [], []
     for row in body:
         parts = row.split()
         try:
-            idx = tuple(int(p) for p in parts[: grid.dim])
-            data[idx] = [float(p) for p in parts[-3:]]
-        except (ValueError, IndexError):
+            if len(parts) != 2 * grid.dim + 3:
+                raise ValueError
+            index.append([int(p) for p in parts[:grid.dim]])
+            values.append([float(p) for p in parts[-3:]])
+        except ValueError:
             raise ConfigError(f"{path}: malformed snapshot row {row!r}") from None
-    return VectorField(grid, data), time, step
+    if not np.array_equal(index, np.indices(counts).reshape(grid.dim, -1).T):
+        raise ConfigError(f"{path}: snapshot body rows are not the {grid.num_nodes} "
+                          "grid nodes in C order")
+    return VectorField(grid, np.array(values).reshape(counts + (3,))), time, step
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +368,10 @@ def read_snapshot(path):
 # ---------------------------------------------------------------------------
 
 def params_hash(params):
-    """Stable digest of the scheme constants, for resume validation."""
+    """Stable digest of the scheme constants, for resume validation; a
+    forcing closure has none, so a forced run has no checkpoints."""
+    if params.forcing is not None:
+        raise ValueError("checkpoints of forced runs are not supported")
     text = f"{params.beta!r}|{params.gamma!r}|{params.dt!r}|{params.model!r}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -364,10 +385,11 @@ def write_checkpoint(f: VectorField, path, time, step, params):
     """
     path = str(path)
     state_tmp, header_tmp = path + ".state.tmp", path + ".tmp"
+    header = f"# llgsip-checkpoint 1\n# params {params_hash(params)}\n"
     try:
         write_snapshot(f, state_tmp, time=time, step=step)
         with open(header_tmp, "w") as fh:
-            fh.write(f"# llgsip-checkpoint 1\n# params {params_hash(params)}\n")
+            fh.write(header)
         os.replace(state_tmp, path + ".state")
         os.replace(header_tmp, path)
     finally:

@@ -365,19 +365,11 @@ class RunResult:
     steady: bool = False
 
 
-def run(
-    initial: VectorField,
-    params: SchemeParams,
-    cfg: SolverConfig,
-    t_end,
-    callbacks=(),
-    steady_tol=None,
-    max_steps=None,
-    t_start=0.0,
-    start_index=0,
-    override_unit_check=False,
-):
-    """Advance from ``t_start`` to ``t_end`` (or to steady state).
+def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: int,
+        callbacks=(), steady_tol=None, t_start=0.0, start_index=0,
+        override_unit_check=False):
+    """Take ``n_steps`` steps of ``params.dt`` (fewer at steady state); step k
+    ends at ``t_start`` + k*dt and is numbered ``start_index`` + k.
 
     ``callbacks`` are called as cb(report, m_prev, m_tilde, m_new) after
     every step.  With ``steady_tol`` set, the loop exits early once
@@ -385,13 +377,8 @@ def run(
     """
     state, _ = ingest_initial(initial, override=override_unit_check)
     reports = []
-    if t_end <= t_start:
-        return RunResult(state=state, reports=reports)
-    if params.dt == 0:
+    if n_steps > 0 and params.dt == 0:
         raise ValueError("time loop needs a positive dt")
-    n_steps = int(round((t_end - t_start) / params.dt))
-    if max_steps is not None:
-        n_steps = min(n_steps, max_steps)
     steady = False
     for k in range(1, n_steps + 1):
         t_new = t_start + k * params.dt

@@ -249,6 +249,28 @@ def test_bad_numeric_keys_exit_with_config_error(tmp_path, capsys, overrides, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("dissipate", ["dt_policy=fixed", "dt=0.3", "t_end=1"], "t_end"),
+        ("blowup", ["snapshot_times=0 0.3 0.36"], "snapshot_times"),
+    ],
+    ids=["fixed-dt-not-dividing-t_end", "snapshot-after-t_end"],
+)
+def test_horizon_errors_exit_with_config_error(tmp_path, capsys, command, overrides, key):
+    # both used to run: to t = 0.9, or without the late snapshot
+    out = tmp_path / "o"
+    cfg = str(CONFIG_DIR / ("blowup_smoke.cfg" if command == "blowup" else "dissipate.cfg"))
+    argv = [command, "--config", cfg, "--out", str(out)]
+    for override in overrides:
+        argv += ["--override", override]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
 def test_resumed_skyrmion_csv_starts_at_checkpoint(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     cfg = skyrmion_cfg(tmp_path, first)

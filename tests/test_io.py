@@ -1,5 +1,7 @@
 """Config parsing, CSV determinism, snapshot and checkpoint round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,12 +104,25 @@ def test_dt_policy_resolution():
         dt_policy="h_squared",
     )
     grid = cfg.make_grid()
-    assert cfg.resolve_dt(grid) == pytest.approx(grid.spacing[0] ** 2)
+    h2 = grid.spacing[0] ** 2
+    dt, steps = cfg.time_steps(grid)
+    assert steps == math.ceil(1.0 / h2) == 7
+    assert dt == 1.0 / 7 and dt <= h2
     cfg.dt_policy = "h_linear"
-    assert cfg.resolve_dt(grid) == pytest.approx(1.0 / 16)
+    # 1/(1/N) > N for N = 49, 98, 103: the count is still N, dt still 1/N
+    for n in (16, 49, 98, 103):
+        assert cfg.time_steps(cfg.make_grid((n, n))) == (1.0 / n, n)
     cfg.dt_policy = "fixed"
-    with pytest.raises(ConfigError):
-        cfg.resolve_dt(grid)
+    with pytest.raises(ConfigError, match="'dt'"):
+        cfg.time_steps(grid)
+    cfg.dt, cfg.t_end = 1e-4, 0.35  # 0.35/1e-4 = 3499.9999999999995
+    assert cfg.time_steps(grid) == (1e-4, 3500)
+    cfg.dt, cfg.t_end = 0.3, 1.0
+    with pytest.raises(ConfigError, match="'t_end'"):
+        cfg.time_steps(grid)
+    # a relaxation takes the policy's dt and its step budget, whatever t_end
+    cfg.experiment, cfg.max_steps = "skyrmion", 7
+    assert cfg.time_steps(grid) == (0.3, 7)
 
 
 def test_neumann_spacing_spans_closed_interval():
@@ -191,6 +206,46 @@ def test_snapshot_rejects_garbage(tmp_path):
             read_snapshot(path)
 
 
+def reference_snapshot_body(f):
+    """The text body node by node: indices, coordinates, then values."""
+    coords = f.grid.meshgrid()
+    lines = []
+    for idx in np.ndindex(*f.grid.counts):
+        pieces = [str(i) for i in idx]
+        pieces += [repr(float(c[idx])) for c in coords]
+        pieces += [repr(float(v)) for v in f.data[idx]]
+        lines.append(" ".join(pieces) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+@pytest.mark.parametrize("counts", [(7, 5), (6, 5, 4)])
+def test_snapshot_text_body_matches_reference(tmp_path, rng, boundary, counts):
+    grid = GridSpec(counts, (0.3, 1.0 / 3.0, 0.7)[:len(counts)],
+                    origin=(-1.0, 0.25, 0.1)[:len(counts)], boundary=boundary)
+    f = random_unit_field(grid, rng)
+    path = tmp_path / "snap.txt"
+    write_snapshot(f, path)
+    body = path.read_text().split("# body text\n", 1)[1]
+    assert body == reference_snapshot_body(f)
+
+
+def test_snapshot_rejects_rows_off_the_node_list(tmp_path, rng):
+    grid = GridSpec((3, 3), (0.5, 0.5))
+    path = tmp_path / "snap.txt"
+    write_snapshot(random_unit_field(grid, rng), path)
+    lines = path.read_text().splitlines(keepends=True)
+    head, rows = lines[:-9], lines[-9:]
+    for body in (
+        rows[:8] + rows[:1],  # node (0, 0) twice, node (2, 2) missing
+        rows[:8] + ["-1 -1 " + rows[8].split(" ", 2)[2]],  # (2, 2) as (-1, -1)
+        rows[:8] + ["2 2 " + rows[8]],  # a row with extra columns
+    ):
+        path.write_text("".join(head + body))
+        with pytest.raises(ConfigError, match="snap.txt"):
+            read_snapshot(path)
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_snapshot_rejects_truncated_body(tmp_path, rng, binary):
     grid = GridSpec((4, 4), (0.5, 0.5))
@@ -229,6 +284,22 @@ def test_checkpoint_round_trip_and_hash_guard(tmp_path, rng):
     # without params the hash is not enforced
     g2, _, _ = read_checkpoint(path)
     assert np.array_equal(g2.data, f.data)
+
+
+def test_checkpoints_of_forced_runs_are_rejected(tmp_path, rng):
+    f = random_unit_field(GridSpec((4, 4), (0.5, 0.5)), rng)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.01)
+    # unforced digests are those of earlier releases, so old checkpoints resume
+    assert params_hash(params) == "824bafca3764d149"
+    forced = SchemeParams(beta=1.0, gamma=1.0, dt=0.01,
+                          forcing=lambda x, y, t: (0 * x, 0 * x, 0 * x + 1))
+    path = tmp_path / "ck"
+    with pytest.raises(ValueError, match="forced"):
+        write_checkpoint(f, path, time=0.0, step=0, params=forced)
+    assert list(tmp_path.iterdir()) == []
+    write_checkpoint(f, path, time=0.0, step=0, params=params)
+    with pytest.raises(ValueError, match="forced"):
+        read_checkpoint(path, params=forced)
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):

@@ -444,7 +444,7 @@ def test_one_step_matches_dense_reference_with_forcing(rng):
 def test_run_zero_horizon_returns_input(rng):
     grid = GridSpec((6, 6), (0.5, 0.5))
     m = random_unit_field(grid, rng)
-    res = run(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, t_end=0.0)
+    res = run(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, 0)
     assert np.array_equal(res.state.data, normalize(m).data)
     assert res.reports == []
 
@@ -453,19 +453,19 @@ def test_run_rejects_zero_dt_with_horizon(rng):
     grid = GridSpec((4, 4), (0.5, 0.5))
     m = random_unit_field(grid, rng)
     with pytest.raises(ValueError):
-        run(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.0), TIGHT, t_end=1.0)
+        run(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.0), TIGHT, 10)
 
 
 def test_run_rejects_non_unit_initial(rng):
     grid = GridSpec((4, 4), (0.5, 0.5))
     f = random_field(grid, rng)
     with pytest.raises(ValueError):
-        run(f, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, t_end=0.1)
+        run(f, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, 1)
     res = run(
         f,
         SchemeParams(beta=1.0, gamma=1.0, dt=0.1),
         TIGHT,
-        t_end=0.1,
+        1,
         override_unit_check=True,
     )
     assert np.max(np.abs(res.state.pointwise_norm() - 1.0)) <= 1e-14
@@ -481,7 +481,7 @@ def test_run_monotone_energy_and_callbacks():
         m0,
         SchemeParams(beta=1.0, gamma=1.0, dt=0.05),
         TIGHT,
-        t_end=0.5,
+        10,
         callbacks=[lambda rep, mp, mt, mn: seen.append(rep.energy)],
     )
     assert len(res.reports) == 10
@@ -499,9 +499,8 @@ def test_run_steady_state_exit():
         m0,
         SchemeParams(beta=1.0, gamma=1.0, dt=0.1),
         TIGHT,
-        t_end=1e6,
+        5000,
         steady_tol=1e-6,
-        max_steps=5000,
     )
     assert res.steady
     # the exchange-only flow on the torus relaxes to a uniform state
