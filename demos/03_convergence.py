@@ -7,7 +7,9 @@ dt <= h^2 both error norms fall at second order; with dt = 1/N at first.
 Each level takes a whole number of equal steps to the horizon.
 
 The full five-level study lives behind the ``llgsip converge`` subcommand;
-this demo runs three levels of each so it finishes in a few seconds.
+this demo runs three levels of each so it finishes in a few seconds.  The
+dt <= h^2 study starts at level 16, as its rates come close to 2 only from
+the 32 -> 64 refinement on.
 """
 
 import math
@@ -41,7 +43,7 @@ def study(levels, steps_rule, t_end=1.0):
 
 def main():
     print("dt <= h^2 (expected rates: 2)")
-    print(format_error_table(study((8, 16, 32), lambda n, h: math.ceil(1 / h**2))))
+    print(format_error_table(study((16, 32, 64), lambda n, h: math.ceil(1 / h**2))))
     print("\ndt = 1/N (expected rates: 1)")
     print(format_error_table(study((8, 16, 32), lambda n, h: n)))
 

@@ -48,7 +48,7 @@ def main():
     )
     for t, e, q in history[:: max(1, len(history) // 8)]:
         print(f"  t = {t:8.2f}: E = {e:9.4f}, Q = {q:.4f}")
-    print(f"steady = {res.steady} after {len(res.reports)} steps; "
+    print(f"steady = {res.steady} after {res.step} steps; "
           f"final Q = {skyrmion_number(res.state):.4f}")
     print("(the coarse h = 0.4 lattice underestimates Q; the production "
           "h = 0.1 grid gives about 0.97)")

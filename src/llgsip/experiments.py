@@ -35,10 +35,7 @@ from .io import (
     read_checkpoint,
     read_snapshot,
 )
-from .stepper import SchemeParams, SolverConfig, run
-
-DEFAULT_LEVELS = (8, 16, 32, 64, 128)
-DEFAULT_GAMMAS = (0.1, 0.5, 1.0, 10.0)
+from .stepper import ENERGY_RISE, SchemeParams, SolverConfig, run
 
 
 def _solver_config(config):
@@ -66,18 +63,14 @@ class _EnergyLog:
     each extra CSV column to the function of the state that fills it.
 
     It checks every step, logged or not, and lists the failures in
-    ``violations``: an energy rise above ``energy_tol`` since the step
-    before, and each failure of the report's invariants.  Exchange-only
-    runs allow a rise of 1e-8, round-off only: the scheme is provably
-    dissipative.  The skyrmion relaxation allows 1e-6, because its explicit
-    anisotropy and DMI field is not provably dissipative.
+    ``violations``: an energy rise since the step before above the model's
+    ``stepper.ENERGY_RISE``, and each failure of the report's invariants.
     """
 
-    def __init__(self, initial, model, energy_tol, columns=None, cadence=1, step=0,
-                 time=0.0):
+    def __init__(self, initial, model, columns=None, cadence=1, step=0, time=0.0):
         self.columns = columns or {}
         self.cadence = cadence
-        self.energy_tol = energy_tol
+        self.energy_tol = ENERGY_RISE[model.variant]
         # through the module, so a caller may substitute extended_energy
         self.energy = effective_field.extended_energy(initial, model)
         self.rows = [[step, time, self.energy, 1.0, 0.0, 0, 0.0]
@@ -132,11 +125,10 @@ def format_error_table(records):
 
 def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
     """Manufactured-solution refinement study (the error-table experiment)."""
-    levels = config.levels or DEFAULT_LEVELS
     exact = manufactured_solution(config.beta, config.gamma)
     cfg = _solver_config(config)
     records = []
-    for n in levels:
+    for n in config.levels:
         grid = config.make_grid((n, n))
         dt, steps = config.time_steps(grid)
         params = SchemeParams(
@@ -186,15 +178,14 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
 
     ``extra_callbacks`` maps a gamma to further run callbacks for its run.
     """
-    gammas = config.gammas or DEFAULT_GAMMAS
     grid = config.make_grid()
     dt, steps = config.time_steps(grid)
     out = _ensure_out(config)
     result = DissipateResult(energies={})
-    for gamma in gammas:
+    for gamma in config.gammas:
         params = SchemeParams(beta=config.beta, gamma=gamma, dt=dt)
         initial = VectorField.from_function(grid, exact_data.dissipation_initial)
-        log = _EnergyLog(initial, params.model, energy_tol=1e-8)
+        log = _EnergyLog(initial, params.model, cadence=config.cadence)
         callbacks = [log]
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
@@ -240,7 +231,7 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
             snapshots.append((t_snap, path))
 
     snap(initial, 0.0, 0)
-    log = _EnergyLog(initial, params.model, energy_tol=1e-8)
+    log = _EnergyLog(initial, params.model, cadence=config.cadence)
     run(initial, params, _solver_config(config), steps, callbacks=[
         log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
                                                           report.step_index)])
@@ -294,21 +285,18 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         )
 
     out = _ensure_out(config)
-    log = _EnergyLog(initial, model, energy_tol=1e-6, columns={"Q": skyrmion_number},
+    log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
     res = run(initial, params, _solver_config(config), budget, callbacks=[log],
               steady_tol=config.steady_tol, t_start=t_start, start_index=start_index,
               override_unit_check=True)
     tag = config.mode.lower()
     snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
-    last = res.reports[-1] if res.reports else None
-    t_last = last.time if last else t_start
-    step_last = last.step_index if last else start_index
-    write_snapshot(res.state, snap_path, time=t_last, step=step_last, binary=binary)
-    if not res.steady and last is not None:
+    write_snapshot(res.state, snap_path, time=res.time, step=res.step, binary=binary)
+    if not res.steady and res.step > start_index:
         # budget exhausted: keep the last state around for a resumed run
         write_checkpoint(res.state, os.path.join(out, f"skyrmion_{tag}_last.ckpt"),
-                         t_last, step_last, params)
+                         res.time, res.step, params)
     log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     return SkyrmionResult(
         final_state=res.state,

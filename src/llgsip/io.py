@@ -37,15 +37,6 @@ class ConfigError(ValueError):
 EXPERIMENTS = ("converge", "dissipate", "blowup", "skyrmion")
 DT_POLICIES = ("fixed", "h_squared", "h_linear")
 
-# the values each enumerated config key accepts
-_CHOICES = {
-    "boundary": (PERIODIC, NEUMANN),
-    "dt_policy": DT_POLICIES,
-    "snapshot_format": ("text", "binary"),
-    "mode": ("Q1", "Q0"),
-    "lam": (1, -1),
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -66,8 +57,8 @@ class ExperimentConfig:
     rel_tol: float = 1e-12
     max_iter: int = 500
     restart: int = 30
-    levels: tuple[int, ...] = None  # converge only
-    gammas: tuple[float, ...] = None  # dissipate only
+    levels: tuple[int, ...] = (8, 16, 32, 64, 128)  # converge only
+    gammas: tuple[float, ...] = (0.1, 0.5, 1.0, 10.0)  # dissipate only
     snapshot_times: tuple[float, ...] = (0.0, 0.06, 0.15, 0.30, 0.32, 0.35)  # blowup
     steady_tol: float = 1e-6  # skyrmion
     max_steps: int = 200000  # skyrmion step budget
@@ -117,16 +108,63 @@ class ExperimentConfig:
         return self.t_end / steps, steps
 
 
-def _tuple_of(item):
-    return lambda text: tuple(item(p) for p in text.split())
+def _tuple_of(item, size=None):
+    def convert(text):
+        values = tuple(item(p) for p in text.split())
+        if size not in (None, len(values)):
+            raise ValueError(f"expects {size} values, got {len(values)}")
+        return values
+    return convert
 
 
-# optional config keys are converted by their ExperimentConfig annotation;
-# the required experiment, domain and grid keys have their own checks
+def _domain(text):
+    nums = _tuple_of(float, 4)(text)
+    return nums[:2], nums[2:]
+
+
+# config keys are converted by their ExperimentConfig annotation, but for
+# the grid (two counts) and the domain (four numbers, as two (lo, hi) pairs)
 _CONVERTERS = {
     name: _tuple_of(get_args(tp)[0]) if get_origin(tp) is tuple else tp
     for name, tp in get_type_hints(ExperimentConfig).items()
-    if name not in ("experiment", "domain", "grid")
+}
+_CONVERTERS.update(domain=_domain, grid=_tuple_of(int, 2))
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), f"one of {choices}"
+
+
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and positive")
+_COUNT = (lambda n: n >= 1, "at least 1")
+
+# key -> (test, phrase naming it): the value of a set key must pass the
+# test; a tuple key must hold one or more values and each must pass it
+_RULES = {
+    "experiment": _one_of(*EXPERIMENTS),
+    "domain": (lambda lo_hi: 0.0 < lo_hi[1] - lo_hi[0] < math.inf,
+               "two intervals (lo, hi), each of finite positive length"),
+    "grid": (lambda n: n >= 2, "two counts, each at least 2"),
+    "boundary": _one_of(PERIODIC, NEUMANN),
+    "dt_policy": _one_of(*DT_POLICIES),
+    "dt": _POSITIVE,
+    "t_end": _POSITIVE,
+    "beta": (math.isfinite, "finite"),
+    "gamma": _POSITIVE,
+    "kappa": (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
+    "lam": _one_of(1, -1),
+    "cadence": _COUNT,
+    "snapshot_format": _one_of("text", "binary"),
+    "rel_tol": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "max_iter": _COUNT,
+    "restart": _COUNT,
+    "levels": (lambda n: n >= 2, "one or more counts, each at least 2"),
+    "gammas": (lambda g: 0.0 < g < math.inf, "one or more values, each finite and positive"),
+    "snapshot_times": (math.isfinite, "one or more times, each finite"),
+    "steady_tol": _POSITIVE,
+    "max_steps": _COUNT,
+    "mode": _one_of("Q1", "Q0"),
+    "seed_radius": _POSITIVE,
 }
 
 
@@ -166,69 +204,31 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 
 
 def _build_config(raw):
-    def take(key):
+    for key in ("experiment", "domain", "grid"):
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
-        return raw.pop(key)
-
-    experiment, ln = take("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"line {ln}: unknown experiment {experiment!r}, "
-            f"expected one of {EXPERIMENTS}"
-        )
-
-    dom_text, ln = take("domain")
-    nums = _convert("domain", _tuple_of(float), dom_text, ln)
-    if len(nums) != 4:
-        raise ConfigError(f"line {ln}: key 'domain' expects 4 numbers, got {len(nums)}")
-    domain = ((nums[0], nums[1]), (nums[2], nums[3]))
-    for lo, hi in domain:
-        if hi <= lo:
-            raise ConfigError(f"line {ln}: domain extent must be positive")
-
-    grid_text, ln = take("grid")
-    counts = _convert("grid", _tuple_of(int), grid_text, ln)
-    if len(counts) != 2 or any(n < 2 for n in counts):
-        raise ConfigError(f"line {ln}: key 'grid' expects two counts >= 2")
-
-    cfg = ExperimentConfig(experiment=experiment, domain=domain, grid=counts)
-
-    for key, conv in _CONVERTERS.items():
-        if key in raw:
-            setattr(cfg, key, _convert(key, conv, *raw.pop(key)))
+    cfg = ExperimentConfig(**{key: _convert(key, conv, *raw.pop(key))
+                              for key, conv in _CONVERTERS.items() if key in raw})
     if raw:
         key, (_, ln) = next(iter(raw.items()))
         raise ConfigError(f"line {ln}: unknown key '{key}'")
 
-    for key, choices in _CHOICES.items():
-        value = getattr(cfg, key)
-        if value not in choices:
-            raise ConfigError(
-                f"key '{key}': unknown value {value!r}, expected one of {choices}"
-            )
-    for key in ("gamma", "gammas"):
-        value = getattr(cfg, key)
-        if value is not None and not np.min(value, initial=np.inf) > 0:
-            raise ConfigError(f"key '{key}': damping must be positive, got {value}")
-    if not cfg.kappa >= 0:
-        raise ConfigError(
-            f"key 'kappa': anisotropy must be nonnegative, got {cfg.kappa}"
-        )
-    for key in ("restart", "max_iter", "cadence", "max_steps"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"key '{key}': must be at least 1, got {getattr(cfg, key)}")
-    if not 0.0 < cfg.t_end < np.inf:
-        raise ConfigError(f"key 't_end': must be finite and positive, got {cfg.t_end}")
+    for key, (test, phrase) in _RULES.items():
+        value = getattr(cfg, key)  # None: dt left to its policy
+        values = value if isinstance(value, tuple) else () if value is None else (value,)
+        if value == () or not all(map(test, values)):
+            raise ConfigError(f"key '{key}': must be {phrase}, got {value!r}")
+
     if cfg.experiment == "blowup" and not all(0 <= t <= cfg.t_end for t in cfg.snapshot_times):
         raise ConfigError(f"key 'snapshot_times': each must lie in [0, t_end = "
                           f"{cfg.t_end!r}], got {cfg.snapshot_times}")
-    if not cfg.steady_tol > 0:
-        raise ConfigError(f"key 'steady_tol': must be positive, got {cfg.steady_tol}")
-    if not 0.0 < cfg.rel_tol < 1.0:
-        raise ConfigError(f"key 'rel_tol': must lie in (0, 1), got {cfg.rel_tol}")
-    if cfg.dt_policy == "fixed" and cfg.dt is not None and not cfg.dt > 0:
-        raise ConfigError(f"key 'dt': time step must be positive, got {cfg.dt}")
+    # the scheme's analysis assumes hx == hy on every grid the run builds
+    grids = [(n, n) for n in cfg.levels] if cfg.experiment == "converge" else [cfg.grid]
+    for counts in grids:
+        try:
+            cfg.make_grid(counts).require_uniform()
+        except ValueError as exc:
+            raise ConfigError(f"key 'domain': {exc} on the {counts} grid") from None
     return cfg
 
 

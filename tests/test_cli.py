@@ -271,6 +271,51 @@ def test_horizon_errors_exit_with_config_error(tmp_path, capsys, command, overri
     assert not out.exists()
 
 
+# small grids and budgets, so that an input let through fails fast
+SHIPPED_BASE = {
+    "skyrmion_q1_smoke": ["grid=16 16", "max_steps=2"],
+    "dissipate": ["grid=16 16", "t_end=0.02"],
+    "converge_table2": [],
+}
+
+
+@pytest.mark.parametrize(
+    "config, override, key",
+    [
+        ("skyrmion_q1_smoke", "beta=nan", "beta"),
+        ("skyrmion_q1_smoke", "beta=inf", "beta"),
+        ("skyrmion_q1_smoke", "gamma=inf", "gamma"),
+        ("skyrmion_q1_smoke", "kappa=inf", "kappa"),
+        ("skyrmion_q1_smoke", "dt=inf", "dt"),
+        ("skyrmion_q1_smoke", "seed_radius=nan", "seed_radius"),
+        ("skyrmion_q1_smoke", "seed_radius=0", "seed_radius"),
+        ("skyrmion_q1_smoke", "steady_tol=inf", "steady_tol"),
+        ("skyrmion_q1_smoke", "domain=0 inf 0 6.4", "domain"),
+        ("skyrmion_q1_smoke", "domain=0 nan 0 6.4", "domain"),
+        ("dissipate", "domain=0 6 0 12", "domain"),
+        ("dissipate", "gammas =", "gammas"),
+        ("converge_table2", "levels=1 8", "levels"),
+        ("converge_table2", "levels=8 -16", "levels"),
+        ("converge_table2", "levels =", "levels"),
+    ],
+)
+def test_inputs_the_scheme_cannot_take_exit_with_config_error(tmp_path, capsys, config,
+                                                              override, key):
+    # each used to end in a traceback (some after creating the output
+    # directory) or in a false success: a charge-zero seed reported steady,
+    # steady after one step, or the default sweep or levels run instead
+    out = tmp_path / "o"
+    command = config.split("_")[0]
+    argv = [command, "--config", str(CONFIG_DIR / f"{config}.cfg"), "--out", str(out)]
+    for ov in SHIPPED_BASE[config] + [override]:
+        argv += ["--override", ov]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"key '{key}'" in err
+    assert not out.exists()
+
+
 def test_resumed_skyrmion_csv_starts_at_checkpoint(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     cfg = skyrmion_cfg(tmp_path, first)
@@ -309,7 +354,7 @@ def clean_report(k):
 def test_energy_log_flags_each_broken_invariant(name, value, message):
     # step 3 is not a logged row at cadence 2, and is checked all the same
     m = VectorField.constant(GridSpec((4, 4), (0.5, 0.5)), (0.0, 0.0, 1.0))
-    log = _EnergyLog(m, FieldModel.exchange_only(), energy_tol=1e-8, cadence=2)
+    log = _EnergyLog(m, FieldModel.exchange_only(), cadence=2)
     for k in range(1, 5):
         report = clean_report(k)
         if k == 3:
@@ -323,7 +368,7 @@ def test_energy_log_flags_each_broken_invariant(name, value, message):
 def test_energy_log_shows_few_messages_per_invariant_and_counts_the_rest():
     # a systematic length fault on every step does not hide one energy rise
     m = VectorField.constant(GridSpec((4, 4), (0.5, 0.5)), (0.0, 0.0, 1.0))
-    log = _EnergyLog(m, FieldModel.exchange_only(), energy_tol=1e-8)
+    log = _EnergyLog(m, FieldModel.exchange_only())
     for k in range(1, 21):
         report = clean_report(k)
         report.max_length_error = 1e-12

@@ -446,7 +446,7 @@ def test_run_zero_horizon_returns_input(rng):
     m = random_unit_field(grid, rng)
     res = run(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, 0)
     assert np.array_equal(res.state.data, normalize(m).data)
-    assert res.reports == []
+    assert (res.time, res.step) == (0.0, 0)
 
 
 def test_run_rejects_zero_dt_with_horizon(rng):
@@ -482,11 +482,11 @@ def test_run_monotone_energy_and_callbacks():
         SchemeParams(beta=1.0, gamma=1.0, dt=0.05),
         TIGHT,
         10,
-        callbacks=[lambda rep, mp, mt, mn: seen.append(rep.energy)],
+        callbacks=[lambda rep, mp, mt, mn: seen.append(rep)],
     )
-    assert len(res.reports) == 10
-    assert seen == [r.energy for r in res.reports]
-    energies = [exchange_energy(m0)] + seen
+    assert res.step == 10 and [r.step_index for r in seen] == list(range(1, 11))
+    assert res.time == seen[-1].time == 10 * 0.05
+    energies = [exchange_energy(m0)] + [r.energy for r in seen]
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
 
