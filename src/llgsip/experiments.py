@@ -4,7 +4,8 @@ Each ``cmd_*`` function takes a parsed ExperimentConfig, writes its CSV
 time series / snapshots under ``config.out_dir`` and returns a small result
 object whose ``ok`` flag drives the process exit status.  The unforced
 experiments list in ``violations`` every step that broke one of the
-scheme's guarantees.
+scheme's guarantees.  Each reads only the keys ``io.keys_read`` names, and
+solves at the ``SolverConfig()`` defaults, which ``stepper.INVARIANTS`` rest on.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ from .io import (
     read_snapshot,
 )
 from .stepper import ENERGY_RISE, SchemeParams, SolverConfig, run
-
-
-def _solver_config(config):
-    return SolverConfig(
-        rel_tol=config.rel_tol,
-        max_iter=config.max_iter,
-        restart=config.restart,
-    )
 
 
 def _ensure_out(config):
@@ -126,7 +119,6 @@ def format_error_table(records):
 def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
     """Manufactured-solution refinement study (the error-table experiment)."""
     exact = manufactured_solution(config.beta, config.gamma)
-    cfg = _solver_config(config)
     records = []
     for n in config.levels:
         grid = config.make_grid((n, n))
@@ -137,7 +129,7 @@ def cmd_converge(config: ExperimentConfig) -> ConvergeResult:
         initial = exact.sample(grid, 0.0)
         acc = ErrorAccumulator(exact, grid, dt)
         acc.seed(initial, 0.0)
-        run(initial, params, cfg, steps, callbacks=[acc])
+        run(initial, params, SolverConfig(), steps, callbacks=[acc])
         records.append(ErrorRecord(level=n, linf_l2=acc.max_l2, l2_h1=acc.l2_h1))
     attach_rates(records)
     rows = [
@@ -189,7 +181,7 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
         callbacks = [log]
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
-        run(initial, params, _solver_config(config), steps, callbacks=callbacks)
+        run(initial, params, SolverConfig(), steps, callbacks=callbacks)
         result.violations += [f"gamma={gamma:g}: {v}" for v in log.violations]
         result.energies[gamma] = log.series()
         log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
@@ -232,7 +224,7 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
 
     snap(initial, 0.0, 0)
     log = _EnergyLog(initial, params.model, cadence=config.cadence)
-    run(initial, params, _solver_config(config), steps, callbacks=[
+    run(initial, params, SolverConfig(), steps, callbacks=[
         log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
                                                           report.step_index)])
     log.write(os.path.join(out, "blowup_energy.csv"))
@@ -287,7 +279,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     out = _ensure_out(config)
     log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
-    res = run(initial, params, _solver_config(config), budget, callbacks=[log],
+    res = run(initial, params, SolverConfig(), budget, callbacks=[log],
               steady_tol=config.steady_tol, t_start=t_start, start_index=start_index,
               override_unit_check=True)
     tag = config.mode.lower()

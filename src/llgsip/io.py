@@ -31,10 +31,25 @@ CSV_COLUMNS = [
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; message carries key and line context."""
+    """Malformed configuration; the message names the key and the line or override."""
 
 
-EXPERIMENTS = ("converge", "dissipate", "blowup", "skyrmion")
+# the keys every run reads, and by experiment the further keys its run
+# reads: converge takes its grids from 'levels', so it reads no 'grid',
+# which every config must set all the same
+_COMMON_KEYS = ("experiment", "domain", "grid", "boundary", "dt_policy", "dt", "beta",
+                "out_dir")
+_RUN_KEYS = {
+    "converge": ("gamma", "t_end", "levels"),
+    "dissipate": ("t_end", "gammas", "cadence"),
+    "blowup": ("gamma", "t_end", "snapshot_times", "cadence", "snapshot_format"),
+    "skyrmion": ("gamma", "kappa", "lam", "steady_tol", "max_steps", "mode",
+                 "seed_radius", "input_state", "cadence", "snapshot_format"),
+}
+# key -> (key, value): the key is read only when that key has that value
+_READ_WHEN = {"dt": ("dt_policy", "fixed"), "seed_radius": ("mode", "Q1"),
+              "input_state": ("mode", "Q0")}
+EXPERIMENTS = tuple(_RUN_KEYS)
 DT_POLICIES = ("fixed", "h_squared", "h_linear")
 
 
@@ -54,17 +69,14 @@ class ExperimentConfig:
     out_dir: str = "out"
     cadence: int = 1
     snapshot_format: str = "text"
-    rel_tol: float = 1e-12
-    max_iter: int = 500
-    restart: int = 30
-    levels: tuple[int, ...] = (8, 16, 32, 64, 128)  # converge only
-    gammas: tuple[float, ...] = (0.1, 0.5, 1.0, 10.0)  # dissipate only
-    snapshot_times: tuple[float, ...] = (0.0, 0.06, 0.15, 0.30, 0.32, 0.35)  # blowup
-    steady_tol: float = 1e-6  # skyrmion
-    max_steps: int = 200000  # skyrmion step budget
-    mode: str = "Q1"  # skyrmion: Q1 | Q0
-    input_state: str = None  # skyrmion Q0: relaxed Q1 snapshot
-    seed_radius: float = 3.0  # skyrmion initial profile width
+    levels: tuple[int, ...] = (8, 16, 32, 64, 128)
+    gammas: tuple[float, ...] = (0.1, 0.5, 1.0, 10.0)
+    snapshot_times: tuple[float, ...] = (0.0, 0.06, 0.15, 0.30, 0.32, 0.35)
+    steady_tol: float = 1e-6
+    max_steps: int = 200000  # relaxation step budget
+    mode: str = "Q1"  # Q1 | Q0
+    input_state: str = None  # Q0: relaxed Q1 snapshot
+    seed_radius: float = 3.0  # Q1: initial profile width
 
     def make_grid(self, counts=None):
         """The grid on the configured domain, with ``counts`` nodes per axis.
@@ -91,17 +103,18 @@ class ExperimentConfig:
         the fewest equal steps within that bound.  Whole counts forgive a
         relative 1e-9: 0.35/1e-4 = 3499.9999999999995 and 1/(1/49) > 49.
         """
-        if self.dt_policy == "fixed" and self.dt is None:
+        fixed = self.dt_policy == "fixed"
+        if fixed and self.dt is None:
             raise ConfigError("dt policy 'fixed' requires key 'dt'")
-        dt = {"fixed": self.dt, "h_squared": grid.spacing[0] ** 2,
-              "h_linear": 1.0 / grid.counts[0]}[self.dt_policy]
+        dt = self.dt if fixed else (grid.spacing[0] ** 2 if self.dt_policy == "h_squared"
+                                    else 1.0 / grid.counts[0])
         if self.experiment == "skyrmion":
             return dt, self.max_steps
         ratio = self.t_end / dt
         steps = round(ratio)
         if steps >= 1 and abs(ratio - steps) <= 1e-9 * ratio:
-            return dt if self.dt_policy == "fixed" else self.t_end / steps, steps
-        if self.dt_policy == "fixed":
+            return dt if fixed else self.t_end / steps, steps
+        if fixed:
             raise ConfigError(f"key 't_end': {self.t_end!r} is not a whole number "
                               f"of steps of dt = {dt!r}")
         steps = math.ceil(ratio)
@@ -155,9 +168,6 @@ _RULES = {
     "lam": _one_of(1, -1),
     "cadence": _COUNT,
     "snapshot_format": _one_of("text", "binary"),
-    "rel_tol": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "max_iter": _COUNT,
-    "restart": _COUNT,
     "levels": (lambda n: n >= 2, "one or more counts, each at least 2"),
     "gammas": (lambda g: 0.0 < g < math.inf, "one or more values, each finite and positive"),
     "snapshot_times": (math.isfinite, "one or more times, each finite"),
@@ -177,16 +187,23 @@ def _read_input(path, mode):
         raise ConfigError(f"{path}: cannot read input file: {exc.strerror}") from None
 
 
-def _convert(key, conv, text, line_no):
+def keys_read(config):
+    """The config keys a run of ``config`` reads; the parser accepts no other."""
+    return {key for key in _COMMON_KEYS + _RUN_KEYS[config.experiment]
+            if key not in _READ_WHEN
+            or getattr(config, _READ_WHEN[key][0]) == _READ_WHEN[key][1]}
+
+
+def _convert(key, conv, text, where):
     try:
         return conv(text)
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: key '{key}': {exc}") from None
+        raise ConfigError(f"{where}: key '{key}': {exc}") from None
 
 
 def parse_config(path, overrides=()) -> ExperimentConfig:
     """Parse a flat key-value config file, applying ``key=value`` overrides."""
-    raw = {}
+    raw = {}  # key -> (value text, where it was set)
     for line_no, line in enumerate(_read_input(path, "r").split("\n"), 1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -194,12 +211,12 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
         if "=" not in text:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {text!r}")
         key, value = (part.strip() for part in text.split("=", 1))
-        raw[key] = (value, line_no)
+        raw[key] = (value, f"line {line_no}")
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not of the form key=value")
         key, value = (part.strip() for part in ov.split("=", 1))
-        raw[key] = (value, 0)
+        raw[key] = (value, f"override {ov!r}")
     return _build_config(raw)
 
 
@@ -207,17 +224,27 @@ def _build_config(raw):
     for key in ("experiment", "domain", "grid"):
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
-    cfg = ExperimentConfig(**{key: _convert(key, conv, *raw.pop(key))
-                              for key, conv in _CONVERTERS.items() if key in raw})
-    if raw:
-        key, (_, ln) = next(iter(raw.items()))
-        raise ConfigError(f"line {ln}: unknown key '{key}'")
+    for key, (_, where) in raw.items():
+        if key not in _CONVERTERS:
+            raise ConfigError(f"{where}: unknown key '{key}'")
+    cfg = ExperimentConfig(**{key: _convert(key, _CONVERTERS[key], text, where)
+                              for key, (text, where) in raw.items()})
 
+    # the defaults pass every rule, so a key that fails one was set
     for key, (test, phrase) in _RULES.items():
         value = getattr(cfg, key)  # None: dt left to its policy
         values = value if isinstance(value, tuple) else () if value is None else (value,)
         if value == () or not all(map(test, values)):
-            raise ConfigError(f"key '{key}': must be {phrase}, got {value!r}")
+            raise ConfigError(f"{raw[key][1]}: key '{key}': must be {phrase}, got {value!r}")
+    read = keys_read(cfg)
+    for key, (_, where) in raw.items():
+        if key not in read:
+            setting = ""
+            if key in _COMMON_KEYS + _RUN_KEYS[cfg.experiment]:  # read under another
+                selector = _READ_WHEN[key][0]
+                setting = f" with {selector} = {getattr(cfg, selector)}"
+            raise ConfigError(f"{where}: key '{key}' is not read by a "
+                              f"{cfg.experiment} run{setting}")
 
     if cfg.experiment == "blowup" and not all(0 <= t <= cfg.t_end for t in cfg.snapshot_times):
         raise ConfigError(f"key 'snapshot_times': each must lie in [0, t_end = "

@@ -201,8 +201,10 @@ def test_output_errors_are_not_config_errors(tmp_path):
 )
 def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key):
     out = tmp_path / "o"
-    code = main(["skyrmion", "--config", skyrmion_cfg(tmp_path, out),
-                 "--override", override])
+    # only the damping sweep reads 'gammas'
+    command, make_cfg = (("dissipate", dissipate_cfg) if key == "gammas"
+                         else ("skyrmion", skyrmion_cfg))
+    code = main([command, "--config", make_cfg(tmp_path, out), "--override", override])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and f"'{key}'" in err
@@ -210,42 +212,53 @@ def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key)
 
 
 @pytest.mark.parametrize(
-    "overrides, key",
+    "command, overrides, key",
     [
-        (["restart=0"], "restart"),
-        (["max_iter=0"], "max_iter"),
-        (["cadence=0"], "cadence"),
-        (["max_steps=0"], "max_steps"),
-        (["rel_tol=2"], "rel_tol"),
-        (["rel_tol=0"], "rel_tol"),
-        (["dt_policy=fixed", "dt=-0.1"], "dt"),
-        (["dt_policy=fixed", "dt=0"], "dt"),
-        (["gamma=nan"], "gamma"),
-        (["kappa=-1"], "kappa"),
-        (["lam=2"], "lam"),
-        (["t_end=nan"], "t_end"),
-        (["t_end=-1"], "t_end"),
-        (["t_end=inf"], "t_end"),
-        (["steady_tol=nan"], "steady_tol"),
-        (["steady_tol=-1"], "steady_tol"),
+        ("skyrmion", ["cadence=0"], "cadence"),
+        ("skyrmion", ["max_steps=0"], "max_steps"),
+        ("skyrmion", ["dt_policy=fixed", "dt=-0.1"], "dt"),
+        ("skyrmion", ["dt_policy=fixed", "dt=0"], "dt"),
+        ("skyrmion", ["gamma=nan"], "gamma"),
+        ("skyrmion", ["kappa=-1"], "kappa"),
+        ("skyrmion", ["lam=2"], "lam"),
+        ("dissipate", ["t_end=nan"], "t_end"),
+        ("dissipate", ["t_end=-1"], "t_end"),
+        ("dissipate", ["t_end=inf"], "t_end"),
+        ("skyrmion", ["steady_tol=nan"], "steady_tol"),
+        ("skyrmion", ["steady_tol=-1"], "steady_tol"),
     ],
-    ids=["restart", "max_iter", "cadence", "max_steps", "rel_tol-above-1",
-         "rel_tol-zero", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam",
+    ids=["cadence", "max_steps", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam",
          "t_end-nan", "t_end-negative", "t_end-inf", "steady_tol-nan",
          "steady_tol-negative"],
 )
-def test_bad_numeric_keys_exit_with_config_error(tmp_path, capsys, overrides, key):
+def test_bad_numeric_keys_exit_with_config_error(tmp_path, capsys, command, overrides,
+                                                 key):
     # each used to end in a traceback, a run of the default 200000-step
     # budget (max_steps = 0, or a steady_tol that can never be met), the
     # seed written as the relaxed state (dt = 0) or no step at all (t_end < 0)
     out = tmp_path / "o"
-    argv = ["skyrmion", "--config", skyrmion_cfg(tmp_path, out)]
+    make_cfg = dissipate_cfg if command == "dissipate" else skyrmion_cfg
+    argv = [command, "--config", make_cfg(tmp_path, out)]
     for override in overrides:
         argv += ["--override", override]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_solver_keys_are_unknown_keys(tmp_path, capsys):
+    # every run solves at the SolverConfig() defaults, which the invariant
+    # bounds rest on, so no config sets them
+    out = tmp_path / "o"
+    for override in ["rel_tol=1e-12", "max_iter=500", "restart=30"]:
+        code = main(["skyrmion", "--config", skyrmion_cfg(tmp_path, out),
+                     "--override", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        key = override.split("=")[0]
+        assert err == f"config error: override '{override}': unknown key '{key}'\n"
     assert not out.exists()
 
 
@@ -276,7 +289,18 @@ SHIPPED_BASE = {
     "skyrmion_q1_smoke": ["grid=16 16", "max_steps=2"],
     "dissipate": ["grid=16 16", "t_end=0.02"],
     "converge_table2": [],
+    "skyrmion_q0": ["grid=16 16", "max_steps=2"],
 }
+
+
+def run_shipped(config, override, out):
+    """Exit status of the shipped ``config``, shrunk by SHIPPED_BASE, with
+    ``override`` on top."""
+    argv = [config.split("_")[0], "--config", str(CONFIG_DIR / f"{config}.cfg"),
+            "--out", str(out)]
+    for ov in SHIPPED_BASE[config] + [override]:
+        argv += ["--override", ov]
+    return main(argv)
 
 
 @pytest.mark.parametrize(
@@ -305,14 +329,32 @@ def test_inputs_the_scheme_cannot_take_exit_with_config_error(tmp_path, capsys, 
     # directory) or in a false success: a charge-zero seed reported steady,
     # steady after one step, or the default sweep or levels run instead
     out = tmp_path / "o"
-    command = config.split("_")[0]
-    argv = [command, "--config", str(CONFIG_DIR / f"{config}.cfg"), "--out", str(out)]
-    for ov in SHIPPED_BASE[config] + [override]:
-        argv += ["--override", ov]
-    code = main(argv)
+    code = run_shipped(config, override, out)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and f"key '{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, override, key, run",
+    [
+        ("dissipate", "gamma=0.5", "gamma", "dissipate run"),
+        ("dissipate", "steady_tol=5", "steady_tol", "dissipate run"),
+        ("dissipate", "levels=4", "levels", "dissipate run"),
+        ("converge_table2", "dt=0.1", "dt", "converge run with dt_policy = h_linear"),
+        ("skyrmion_q1_smoke", "t_end=1", "t_end", "skyrmion run"),
+        ("skyrmion_q0", "seed_radius=2", "seed_radius", "skyrmion run with mode = Q0"),
+    ],
+)
+def test_keys_the_run_does_not_read_exit_with_config_error(tmp_path, capsys, config,
+                                                           override, key, run):
+    # each used to be dropped without a word, and the run went on without it
+    out = tmp_path / "o"
+    code = run_shipped(config, override, out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: override '{override}': key '{key}' is not read by a {run}\n"
     assert not out.exists()
 
 

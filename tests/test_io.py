@@ -1,14 +1,19 @@
 """Config parsing, CSV determinism, snapshot and checkpoint round-trips."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from llgsip import experiments
 from llgsip import io as llgsip_io
+from llgsip.exact import skyrmion_initial
 from llgsip.io import (
     ConfigError,
     ExperimentConfig,
+    keys_read,
     parse_config,
     params_hash,
     read_checkpoint,
@@ -23,6 +28,7 @@ from llgsip.stepper import SchemeParams, StepReport
 
 from conftest import random_unit_field
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = """\
 # dissipation sweep
@@ -133,6 +139,84 @@ def test_neumann_spacing_spans_closed_interval():
         boundary="neumann",
     )
     assert cfg.make_grid().spacing == (1.0 / 64, 1.0 / 64)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("tyop=3", "unknown key 'tyop'"),
+        ("dt=fast", "key 'dt': could not convert string to float: 'fast'"),
+        ("gammas=1 -1", "key 'gammas': must be one or more values, each finite and positive"),
+        ("gamma=0.5", "key 'gamma' is not read by a dissipate run"),
+    ],
+    ids=["unknown", "bad-value", "rule", "unread"],
+)
+def test_override_errors_name_the_override(tmp_path, override, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path, BASE_CONFIG), overrides=[override])
+    assert str(err.value).startswith(f"override '{override}': {message}")
+
+
+def test_unread_key_names_its_line(tmp_path):
+    text = BASE_CONFIG + "dt_policy = h_squared\n"
+    with pytest.raises(ConfigError, match="^line 5: key 'dt' is not read by a dissipate "
+                                          "run with dt_policy = h_squared$"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_every_shipped_config_parses(path):
+    cfg = parse_config(path)
+    assert path.stem.startswith(cfg.experiment)
+    counts = [(n, n) for n in cfg.levels] if cfg.experiment == "converge" else [cfg.grid]
+    for n in counts:
+        dt, steps = cfg.time_steps(cfg.make_grid(n))
+        assert dt > 0 and steps >= 1
+
+
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class _RecordingConfig(ExperimentConfig):
+    """A config that notes each of its keys a run reads, in ``read``."""
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+_BOX = f"domain = 0 {2 * np.pi!r} 0 {2 * np.pi!r}\ngrid = 8 8\nout_dir = {{out}}\n"
+_SKYRMION = ("experiment = skyrmion\ndomain = 0 1.6 0 1.6\ngrid = 9 9\nboundary = neumann\n"
+             "dt = 0.01\nbeta = 0\nkappa = 3\nmax_steps = 2\nout_dir = {out}\n")
+TINY_RUNS = {
+    "converge-h_squared": "experiment = converge\ndt_policy = h_squared\nlevels = 8\n"
+                          "t_end = 0.05\n" + _BOX,
+    "converge-fixed": "experiment = converge\nlevels = 8\ndt = 0.05\nt_end = 0.1\n" + _BOX,
+    "dissipate": "experiment = dissipate\ndt = 0.01\nt_end = 0.02\ngammas = 1\n" + _BOX,
+    "blowup": "experiment = blowup\ndomain = -0.5 0.5 -0.5 0.5\ngrid = 9 9\n"
+              "boundary = neumann\ndt = 1e-3\nt_end = 2e-3\nsnapshot_times = 0 2e-3\n"
+              "out_dir = {out}\n",
+    "skyrmion-Q1": _SKYRMION,
+    "skyrmion-Q0": _SKYRMION + "mode = Q0\ninput_state = {seed}\n",
+}
+
+
+@pytest.mark.parametrize("run", list(TINY_RUNS))
+def test_each_run_reads_exactly_the_keys_it_accepts(tmp_path, run):
+    seed = tmp_path / "seed.txt"
+    cfg = parse_config(write_cfg(tmp_path, TINY_RUNS[run].format(out=tmp_path / "out",
+                                                                 seed=seed)))
+    if cfg.input_state:
+        write_snapshot(VectorField.from_function(
+            cfg.make_grid(), lambda x, y: skyrmion_initial(x, y, (0.8, 0.8), 0.5)), seed)
+    recorder = _RecordingConfig(**vars(cfg))
+    recorder.read = set()
+    getattr(experiments, f"cmd_{cfg.experiment}")(recorder)
+    accepted = keys_read(cfg)
+    if cfg.experiment == "converge":
+        accepted.remove("grid")  # required of every config, yet its grids come from levels
+    assert recorder.read == accepted
 
 
 # ---------------------------------------------------------------------------
