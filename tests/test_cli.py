@@ -214,8 +214,14 @@ def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key)
 @pytest.mark.parametrize(
     "command, overrides, key",
     [
+        # the solver keys are no longer config keys: any value of theirs is
+        # now an unknown key, which still exits 2 naming the key
+        ("skyrmion", ["restart=0"], "restart"),
+        ("skyrmion", ["max_iter=0"], "max_iter"),
         ("skyrmion", ["cadence=0"], "cadence"),
         ("skyrmion", ["max_steps=0"], "max_steps"),
+        ("skyrmion", ["rel_tol=2"], "rel_tol"),
+        ("skyrmion", ["rel_tol=0"], "rel_tol"),
         ("skyrmion", ["dt_policy=fixed", "dt=-0.1"], "dt"),
         ("skyrmion", ["dt_policy=fixed", "dt=0"], "dt"),
         ("skyrmion", ["gamma=nan"], "gamma"),
@@ -227,7 +233,8 @@ def test_bad_scheme_keys_exit_with_config_error(tmp_path, capsys, override, key)
         ("skyrmion", ["steady_tol=nan"], "steady_tol"),
         ("skyrmion", ["steady_tol=-1"], "steady_tol"),
     ],
-    ids=["cadence", "max_steps", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam",
+    ids=["restart", "max_iter", "cadence", "max_steps", "rel_tol-above-1",
+         "rel_tol-zero", "dt-negative", "dt-zero", "gamma-nan", "kappa", "lam",
          "t_end-nan", "t_end-negative", "t_end-inf", "steady_tol-nan",
          "steady_tol-negative"],
 )
