@@ -36,7 +36,14 @@ from .io import (
     read_checkpoint,
     read_snapshot,
 )
-from .stepper import ENERGY_RISE, SchemeParams, SolverConfig, run
+from .stepper import (
+    ENERGY_RISE,
+    DegenerateStateError,
+    SchemeParams,
+    SolverConfig,
+    SolverError,
+    run,
+)
 
 
 def _ensure_out(config):
@@ -277,18 +284,29 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         )
 
     out = _ensure_out(config)
+    tag = config.mode.lower()
+    last_path = os.path.join(out, f"skyrmion_{tag}_last.ckpt")
     log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
-    res = run(initial, params, SolverConfig(), budget, callbacks=[log],
-              steady_tol=config.steady_tol, t_start=t_start, start_index=start_index,
-              override_unit_check=True)
-    tag = config.mode.lower()
+    last = {}  # the last completed step: state, time, step
+
+    def keep(report, m_prev, m_tilde, m_new):
+        last.update(state=m_new, time=report.time, step=report.step_index)
+
+    try:
+        res = run(initial, params, SolverConfig(), budget, callbacks=[log, keep],
+                  steady_tol=config.steady_tol, t_start=t_start,
+                  start_index=start_index, override_unit_check=True)
+    except (SolverError, DegenerateStateError, FloatingPointError):
+        # a failed step: keep the last good state for a resumed run
+        if last:
+            write_checkpoint(last["state"], last_path, last["time"], last["step"], params)
+        raise
     snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
     write_snapshot(res.state, snap_path, time=res.time, step=res.step, binary=binary)
     if not res.steady and res.step > start_index:
         # budget exhausted: keep the last state around for a resumed run
-        write_checkpoint(res.state, os.path.join(out, f"skyrmion_{tag}_last.ckpt"),
-                         res.time, res.step, params)
+        write_checkpoint(res.state, last_path, res.time, res.step, params)
     log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     return SkyrmionResult(
         final_state=res.state,

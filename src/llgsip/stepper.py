@@ -11,6 +11,13 @@ mt node by node back onto the unit sphere.  By default GMRES is
 preconditioned by the inverse of A's tangent-plane diffusion and
 precession, exact for uniform m (see ``_tangent_plane_preconditioner``).
 
+GMRES works on the unknowns ordered components first, as planes of shape
+(3, N0, N1[, N2]): m, the right-hand side and the start are moved there
+once per step and the solution is moved back once, so that every cross
+product of the matvec and every transform of the preconditioner runs on
+contiguous planes.  ``run`` starts each solve after the first from the
+extrapolation m^n + (mt^n - m^(n-1)); the first starts from m^n.
+
 Without forcing the intermediate solution satisfies mt . m == 1 and
 |mt| >= 1 at every node (up to solver tolerance), which is what makes the
 projection both well defined and energy dissipative.  The explicit field
@@ -144,7 +151,8 @@ def _cross(a, b, out):
 
 
 def _cross_terms(m_data, w, beta, gamma):
-    """beta m x w + gamma m x (m x w), pointwise on component-last arrays."""
+    """beta m x w + gamma m x (m x w), pointwise on arrays indexed components
+    last; the result keeps the memory layout of ``w``."""
     m, w = np.moveaxis(m_data, -1, 0), np.moveaxis(w, -1, 0)
     c1 = _cross(m, w, np.empty_like(w))
     c2 = _cross(m, c1, np.empty_like(w))
@@ -154,27 +162,44 @@ def _cross_terms(m_data, w, beta, gamma):
     return np.moveaxis(c2, 0, -1)
 
 
+def _apply_operator(grid, v, m, params):
+    """A(v) on arrays indexed components last, in the memory layout of ``v``.
+
+    The one definition of A: ``operator_apply`` passes component-last data,
+    the Krylov matvec component-first planes seen components last, whose
+    Laplacian and cross products then run on contiguous planes.  Every
+    operation is elementwise, so both layouts give the same bits.
+    """
+    out = _cross_terms(m, array_laplacian(grid, v), params.beta, params.gamma)
+    out *= params.dt
+    out += v
+    return out
+
+
 def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) -> VectorField:
     """Left-hand operator A(v) = v + dt*[beta m x lap v + gamma m x (m x lap v)]."""
     if v.grid != m_prev.grid:
         raise GridMismatchError("operand and previous state live on different grids")
-    lap = array_laplacian(v.grid, v.data)
-    out = _cross_terms(m_prev.data, lap, params.beta, params.gamma)
-    out *= params.dt
-    out += v.data
-    return VectorField(v.grid, out)
+    return VectorField(v.grid, _apply_operator(v.grid, v.data, m_prev.data, params))
 
 
-def _build_rhs(m_prev, params, t_new):
-    rhs = m_prev.data.copy()
+def _planes(data):
+    """A contiguous component-first copy, shape (3, N0, N1[, N2]), of
+    component-last data."""
+    return np.moveaxis(data, -1, 0).copy()
+
+
+def _build_rhs(m_prev, m, params, t_new):
+    """The right-hand side in component-first planes; ``m`` is m_prev's."""
+    rhs = m.copy()
     if params.model.variant != "exchange_only":
         h_expl = explicit_field_apply(m_prev, params.model)
-        rhs -= params.dt * _cross_terms(
+        rhs -= np.moveaxis(params.dt * _cross_terms(
             m_prev.data, h_expl.data, params.beta, params.gamma
-        )
+        ), -1, 0)
     if params.forcing is not None:
         f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new)
-        rhs += params.dt * f.data
+        rhs += np.moveaxis(params.dt * f.data, -1, 0)
     return rhs
 
 
@@ -210,7 +235,7 @@ def _along_axis(mat, values, axis):
     return (mat @ values.reshape(values.shape[:axis + 1] + (-1,))).reshape(values.shape)
 
 
-def _tangent_plane_preconditioner(m_prev, params):
+def _tangent_plane_preconditioner(grid, m, params):
     """x -> m(m.x) + P [V F1 V^-1 P x - m x (V F2 V^-1 P x)], P = I - m m^T.
 
     For unit m, m x (m x w) = m(m.w) - w, so A = I - dt(gamma P - beta J)
@@ -221,10 +246,9 @@ def _tangent_plane_preconditioner(m_prev, params):
     so for uniform m.  F1 = a/(a^2 + b^2) and F2 = b/(a^2 + b^2) are diagonal
     in the tensor product of the per-axis eigenbases, so both halves share
     one forward and one inverse transform.  With beta = 0, F2 vanishes and
-    only the diffusion half is applied.
+    only the diffusion half is applied.  ``m`` and x are component-first
+    planes, shape (3, N0, N1[, N2]), so each per-axis transform is a matmul.
     """
-    grid = m_prev.grid
-    m = np.moveaxis(m_prev.data, -1, 0).copy()  # component-first planes
     bases = [
         _axis_eigenbasis(n, h, grid.boundary)
         for n, h in zip(grid.counts, grid.spacing)
@@ -238,9 +262,7 @@ def _tangent_plane_preconditioner(m_prev, params):
         scale = (np.stack((a, b)) / (a * a + b * b))[:, None]  # (F1, F2)
 
     def apply(x):
-        # components first, here and back at the end, so that each
-        # per-axis transform of the (3, N0, N1[, N2]) planes is a matmul
-        x = np.moveaxis(x.reshape(m_prev.data.shape), -1, 0)
+        x = x.reshape(m.shape)
         mx = np.einsum("i...,i...->...", m, x)
         t = x - m * mx
         for k, (_, _, inv) in enumerate(bases):
@@ -253,27 +275,31 @@ def _tangent_plane_preconditioner(m_prev, params):
         t = t[0] if scale is None else t[0] - _cross(m, t[1], np.empty_like(m))
         # project back onto the tangent plane, keep m(m.x)
         t += m * (mx - np.einsum("i...,i...->...", m, t))
-        return np.moveaxis(t, 0, -1).ravel()
+        return t.ravel()
 
     return apply
 
 
-def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new):
-    """Solve A(mt) = rhs matrix-free; returns (mt, krylov_iters, residual)."""
+def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig,
+                       t_new, x0=None):
+    """Solve A(mt) = rhs matrix-free from the start ``x0`` (a field on the
+    grid; m_prev if None); returns (mt, krylov_iters, residual)."""
     grid = m_prev.grid
     grid.require_uniform()
-    shape = grid.counts + (3,)
+    planes = (3,) + grid.counts
     n = m_prev.data.size
+    m = _planes(m_prev.data)
+    m_seen = np.moveaxis(m, 0, -1)  # indexed components last, laid out first
 
     matvec_count = [0]
 
     def matvec(x):
         matvec_count[0] += 1
-        v = VectorField(grid, x.reshape(shape))
-        return operator_apply(v, m_prev, params).data.ravel()
+        v = np.moveaxis(x.reshape(planes), 0, -1)
+        return np.moveaxis(_apply_operator(grid, v, m_seen, params), -1, 0).ravel()
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    rhs = _build_rhs(m_prev, params, t_new).ravel()
+    rhs = _build_rhs(m_prev, m, params, t_new).ravel()
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return VectorField.zeros(grid), 0, 0.0
@@ -282,7 +308,7 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     if cfg.preconditioner == TANGENT_PLANE:
         M = LinearOperator(
             (n, n),
-            matvec=_tangent_plane_preconditioner(m_prev, params),
+            matvec=_tangent_plane_preconditioner(grid, m, params),
             dtype=float,
         )
 
@@ -291,10 +317,11 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     def callback(arg):
         residuals.append(float(np.linalg.norm(np.atleast_1d(arg))))
 
+    # rtol is relative to ||rhs||, so a better start does not loosen the solve
     x, info = gmres(
         op,
         rhs,
-        x0=m_prev.data.ravel(),
+        x0=m.ravel() if x0 is None else _planes(x0.data).ravel(),
         rtol=cfg.rel_tol,
         atol=0.0,
         restart=cfg.restart,
@@ -314,7 +341,8 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
             f"Krylov solve failed (info={info}, relative residual {residual:.3e})",
             residuals,
         )
-    return VectorField(grid, x.reshape(shape)), matvec_count[0], residual
+    m_tilde = np.moveaxis(x.reshape(planes), 0, -1).copy()
+    return VectorField(grid, m_tilde), matvec_count[0], residual
 
 
 def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
@@ -328,12 +356,13 @@ def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
     return VectorField(m_tilde.grid, m_tilde.data / lengths[..., None])
 
 
-def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, step_index=0):
-    """One full scheme step: implicit solve then projection.
+def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, step_index=0,
+         x0=None):
+    """One full scheme step: implicit solve from ``x0`` then projection.
 
     Returns (m_new, m_tilde, report).
     """
-    m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new)
+    m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new, x0=x0)
     lengths = m_tilde.pointwise_norm()
     m_new = normalize(m_tilde, lengths)
     report = StepReport(
@@ -378,18 +407,21 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
     ``callbacks`` are called as cb(report, m_prev, m_tilde, m_new) after
     every step, and are the one way to see its report: the result keeps the
     last state, time and step number.  With ``steady_tol`` set, the loop
-    exits early once ||m^n - m^(n-1)||_2 / dt drops below it.
+    exits early once ||m^n - m^(n-1)||_2 / dt drops below it.  The first
+    step starts its solve from the initial state, every later one from the
+    extrapolation m^n + (mt^n - m^(n-1)) of the step before.
     """
     state, _ = ingest_initial(initial, override=override_unit_check)
     time, index = t_start, start_index
     if n_steps > 0 and params.dt == 0:
         raise ValueError("time loop needs a positive dt")
     steady = False
+    guess = None
     for k in range(1, n_steps + 1):
         t_new = t_start + k * params.dt
         m_prev = state
         m_new, m_tilde, report = step(
-            m_prev, params, cfg, t_new, step_index=start_index + k
+            m_prev, params, cfg, t_new, step_index=start_index + k, x0=guess
         )
         if not np.all(np.isfinite(m_new.data)):
             raise FloatingPointError(
@@ -398,11 +430,12 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
         time, index = report.time, report.step_index
         for cb in callbacks:
             cb(report, m_prev, m_tilde, m_new)
+        state = m_new
         if steady_tol is not None:
             rate = l2_norm(VectorField(state.grid, m_new.data - m_prev.data)) / params.dt
             if rate < steady_tol:
-                state = m_new
                 steady = True
                 break
-        state = m_new
+        guess = VectorField(state.grid, m_tilde.data - m_prev.data)
+        guess.data += m_new.data
     return RunResult(state=state, time=time, step=index, steady=steady)

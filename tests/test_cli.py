@@ -18,7 +18,7 @@ from llgsip.experiments import (
     format_error_table,
 )
 from llgsip.grid import GridSpec, VectorField
-from llgsip.io import parse_config
+from llgsip.io import parse_config, read_checkpoint
 from llgsip.stepper import StepReport
 
 
@@ -377,6 +377,54 @@ def test_resumed_skyrmion_csv_starts_at_checkpoint(tmp_path):
     assert after["step"][0] == 6 and after["time"][0] == before["time"][-1]
     assert after["energy"][0] == before["energy"][-1]
     assert list(after["step"][1:]) == [7, 8, 9, 10]
+
+
+def test_resumed_skyrmion_energies_match_uninterrupted_run(tmp_path):
+    # the extrapolated start of the solve is not checkpointed, so the first
+    # resumed step starts from m^n, and the bits may differ from there on
+    first, second, whole = tmp_path / "first", tmp_path / "second", tmp_path / "whole"
+    cfg = skyrmion_cfg(tmp_path, first)
+    assert main(["skyrmion", "--config", cfg, "--override", "max_steps=6"]) == 1
+    assert main(["skyrmion", "--config", cfg, "--out", str(second),
+                 "--override", "max_steps=4",
+                 "--resume", str(first / "skyrmion_q1_last.ckpt")]) == 1
+    assert main(["skyrmion", "--config", cfg, "--out", str(whole),
+                 "--override", "max_steps=10"]) == 1
+    before = np.genfromtxt(first / "skyrmion_q1.csv", delimiter=",", names=True)
+    after = np.genfromtxt(second / "skyrmion_q1.csv", delimiter=",", names=True)
+    ref = np.genfromtxt(whole / "skyrmion_q1.csv", delimiter=",", names=True)
+    resumed = np.concatenate((before["energy"], after["energy"][1:]))
+    assert list(ref["step"]) == list(range(11))
+    assert np.allclose(resumed, ref["energy"], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "error", [stepper.SolverError("no convergence", []),
+              stepper.DegenerateStateError("zero node"), FloatingPointError("nan")],
+    ids=["solver", "degenerate", "floating_point"],
+)
+def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch, error):
+    failed, ref = tmp_path / "failed", tmp_path / "ref"
+    cfg = skyrmion_cfg(tmp_path, failed)
+    assert main(["skyrmion", "--config", cfg, "--out", str(ref)]) == 1  # 2 steps
+    solve = stepper.solve_intermediate
+
+    def fail_at_step_3(m_prev, params, cfg, t_new, **kwargs):
+        if t_new > 2.5 * params.dt:
+            raise error
+        return solve(m_prev, params, cfg, t_new, **kwargs)
+
+    monkeypatch.setattr(stepper, "solve_intermediate", fail_at_step_3)
+    with pytest.raises(type(error)):
+        main(["skyrmion", "--config", cfg, "--override", "max_steps=5"])
+    config = parse_config(cfg)
+    params = stepper.SchemeParams(beta=config.beta, gamma=config.gamma,
+                                  dt=config.time_steps(config.make_grid())[0],
+                                  model=FieldModel.extended(config.kappa, config.lam))
+    state, time, step = read_checkpoint(failed / "skyrmion_q1_last.ckpt", params)
+    expected, ref_time, _ = read_checkpoint(ref / "skyrmion_q1_last.ckpt", params)
+    assert step == 2 and time == ref_time
+    assert state.data.tobytes() == expected.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,16 @@ def test_along_axis_matches_tensordot(rng):
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def planes(data):
+    """Component-last data as component-first planes, shape (3, N0, N1[, N2])."""
+    return np.moveaxis(data, -1, 0).copy()
+
+
+def components_last(x, grid):
+    """A flat component-first vector, as GMRES holds it, in component-last order."""
+    return np.moveaxis(x.reshape((3,) + grid.counts), 0, -1).ravel()
+
+
 def tensordot_preconditioner(m_prev, params):
     """Reference apply of the tangent-plane preconditioner: components last,
     each per-axis transform a tensordot, and F1, F2 transformed apart."""
@@ -219,10 +229,11 @@ def test_preconditioner_matches_tensordot_reference(boundary, beta, rng):
         GridSpec((5, 6, 4), (0.4, 0.4, 0.4), boundary=boundary),
     ):
         m = random_unit_field(grid, rng)
-        x = rng.standard_normal(m.data.size)
+        x = rng.standard_normal(m.data.size)  # component-first, as GMRES holds it
         before = x.copy()
-        out = _tangent_plane_preconditioner(m, params)(x)
-        ref = tensordot_preconditioner(m, params)(x)
+        out = _tangent_plane_preconditioner(grid, planes(m.data), params)(x)
+        ref = tensordot_preconditioner(m, params)(components_last(x, grid))
+        ref = planes(ref.reshape(m.data.shape)).ravel()
         assert np.array_equal(x, before)  # GMRES still holds its operand
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -246,12 +257,41 @@ def test_preconditioner_inverts_operator_on_uniform_state(boundary, rng):
             ),
         )
         v = random_field(grid, rng)
-        apply = _tangent_plane_preconditioner(m, params)
-        out = apply(operator_apply(v, m, params).data.ravel())
-        assert np.max(np.abs(out - v.data.ravel())) <= 1e-13
+        apply = _tangent_plane_preconditioner(grid, planes(m.data), params)
+        out = apply(planes(operator_apply(v, m, params).data).ravel())
+        assert np.max(np.abs(out - planes(v.data).ravel())) <= 1e-13
         # GMRES also spends a matvec on the start and on the end residual
         _, iters, res = solve_intermediate(m, params, SolverConfig(), t_new=params.dt)
         assert iters <= 3 and res <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("beta", [0.0, -1.7])
+def test_krylov_matvec_equals_operator_apply(boundary, beta, rng, monkeypatch):
+    # GMRES holds component-first vectors; its matvec keeps every bit of the
+    # component-last operator_apply and applies the Laplacian once
+    operators, laplacians = [], []
+
+    def capturing_gmres(op, rhs, **kwargs):
+        operators.append(op)
+        return gmres(op, rhs, **kwargs)
+
+    def counted_laplacian(grid, values):
+        laplacians.append(values.shape)
+        return array_laplacian(grid, values)
+
+    monkeypatch.setattr(llgsip.stepper, "gmres", capturing_gmres)
+    monkeypatch.setattr(llgsip.stepper, "array_laplacian", counted_laplacian)
+    params = SchemeParams(beta=beta, gamma=0.3, dt=0.05)
+    for grid in small_grids(boundary):
+        m = random_unit_field(grid, rng)
+        solve_intermediate(m, params, SolverConfig(), t_new=params.dt)
+        for _ in range(3):
+            v = random_field(grid, rng)
+            calls = len(laplacians)
+            out = operators[-1].matvec(planes(v.data).ravel())
+            assert len(laplacians) == calls + 1
+            assert np.array_equal(out, planes(operator_apply(v, m, params).data).ravel())
 
 
 def test_bubble_step_matvec_budget():
@@ -488,6 +528,21 @@ def test_run_monotone_energy_and_callbacks():
     assert res.time == seen[-1].time == 10 * 0.05
     energies = [exchange_energy(m0)] + [r.energy for r in seen]
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+
+def test_run_extrapolated_start_saves_matvecs():
+    # started from m^n every step, 25 steps of the 65^2 Neumann bubble of
+    # blowup_smoke.cfg take 275 matvecs; from m^n + (mt^n - m^(n-1)), 237
+    h = 1 / 64
+    grid = GridSpec((65, 65), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    m0 = VectorField.from_function(grid, blowup_initial)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
+    reports = []
+    run(m0, params, SolverConfig(), 25, callbacks=[lambda rep, *_: reports.append(rep)])
+    assert sum(r.krylov_iters for r in reports) <= 245
+    # the first step has no step before it, and starts from m^0
+    _, iters, _ = solve_intermediate(m0, params, SolverConfig(), t_new=params.dt)
+    assert reports[0].krylov_iters == iters
 
 
 def test_run_steady_state_exit():
