@@ -2,7 +2,9 @@
 
 Each subcommand reads a flat key-value config file, optionally patched by
 repeatable ``--override key=value`` flags, runs the experiment and exits
-with status 0 iff every asserted invariant of that experiment held.
+with status 0 iff every asserted invariant of that experiment held: 1 if
+one failed, 2 on a config error, 3 if a step failed (a solve that missed
+its tolerance, a collapsed node or a non-finite state).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .experiments import (
     format_error_table,
 )
 from .io import ConfigError, parse_config
+from .stepper import STEP_ERRORS
 
 
 def _add_common(sub):
@@ -74,6 +77,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except STEP_ERRORS as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
 
     if args.command == "converge":
         print(format_error_table(result.records))

@@ -36,14 +36,7 @@ from .io import (
     read_checkpoint,
     read_snapshot,
 )
-from .stepper import (
-    ENERGY_RISE,
-    DegenerateStateError,
-    SchemeParams,
-    SolverConfig,
-    SolverError,
-    run,
-)
+from .stepper import ENERGY_RISE, STEP_ERRORS, SchemeParams, SolverConfig, run
 
 
 def _ensure_out(config):
@@ -297,7 +290,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         res = run(initial, params, SolverConfig(), budget, callbacks=[log, keep],
                   steady_tol=config.steady_tol, t_start=t_start,
                   start_index=start_index, override_unit_check=True)
-    except (SolverError, DegenerateStateError, FloatingPointError):
+    except STEP_ERRORS:
         # a failed step: keep the last good state for a resumed run
         if last:
             write_checkpoint(last["state"], last_path, last["time"], last["step"], params)

@@ -7,16 +7,19 @@ Each step solves the linear system
 
 matrix-free with restarted GMRES (m the previous, pointwise unit state; H
 the explicit non-exchange field; f an optional forcing), then renormalizes
-mt node by node back onto the unit sphere.  By default GMRES is
-preconditioned by the inverse of A's tangent-plane diffusion and
-precession, exact for uniform m (see ``_tangent_plane_preconditioner``).
+mt node by node back onto the unit sphere.  ``gmres`` is this module's own
+right-preconditioned solver; by default its preconditioner is the inverse
+of A's tangent-plane diffusion and precession, exact for uniform m (see
+``_tangent_plane_preconditioner``).  The module needs NumPy alone.
 
 GMRES works on the unknowns ordered components first, as planes of shape
 (3, N0, N1[, N2]): m, the right-hand side and the start are moved there
 once per step and the solution is moved back once, so that every cross
 product of the matvec and every transform of the preconditioner runs on
 contiguous planes.  ``run`` starts each solve after the first from the
-extrapolation m^n + (mt^n - m^(n-1)); the first starts from m^n.
+extrapolation m^n + (mt^n - m^(n-1)); the first starts from m^n.  It also
+keeps one Krylov workspace for all its solves, so that the solver's
+storage is allocated, and faulted in, once per run rather than per step.
 
 Without forcing the intermediate solution satisfies mt . m == 1 and
 |mt| >= 1 at every node (up to solver tolerance), which is what makes the
@@ -27,12 +30,11 @@ them once per step, in its ``StepReport``; ``INVARIANTS`` bounds them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .effective_field import FieldModel, explicit_field_apply, extended_energy
 from .grid import (
@@ -56,6 +58,10 @@ class SolverError(RuntimeError):
 
 class DegenerateStateError(RuntimeError):
     """An intermediate node collapsed to (numerically) zero length."""
+
+
+# what a failed step raises: a missed solve, a collapsed node, a non-finite state
+STEP_ERRORS = (SolverError, DegenerateStateError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,9 @@ def _axis_eigenbasis(n, h, boundary):
 
     Neumann rows reflect (m_{-1} = m_1), so the matrix L is not symmetric;
     with the trapezoidal weights W (all ones on periodic axes) W L is, and
-    the generalized problem W L v = lam W v gives W-orthonormal V, so
-    V^-1 = V^T W.  One code path serves both boundaries and every n.
+    so is S = W^-1/2 (W L) W^-1/2 = W^1/2 L W^-1/2.  From S = U diag(lam) U^T
+    with orthogonal U, V = W^-1/2 U and V^-1 = U^T W^1/2.  One code path
+    serves both boundaries and every n.
     """
     eye = np.eye(n)
     lap = (np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye) / h ** 2
@@ -219,8 +226,10 @@ def _axis_eigenbasis(n, h, boundary):
         lap[0, -1] = lap[-1, 0] = 0.0
         lap[0, 1] = lap[-1, -2] = 2.0 / h ** 2
         w[0] = w[-1] = 0.5
-    lam, vecs = eigh(w[:, None] * lap, np.diag(w))
-    basis = (lam, vecs, vecs.T * w)
+    s = np.sqrt(w)
+    # W L and s_i s_j are both exactly symmetric, so S is too
+    lam, u = np.linalg.eigh(w[:, None] * lap / np.outer(s, s))
+    basis = (lam, u / s[:, None], u.T * s)
     for arr in basis:
         arr.flags.writeable = False  # shared by every caller through the cache
     return basis
@@ -246,8 +255,9 @@ def _tangent_plane_preconditioner(grid, m, params):
     so for uniform m.  F1 = a/(a^2 + b^2) and F2 = b/(a^2 + b^2) are diagonal
     in the tensor product of the per-axis eigenbases, so both halves share
     one forward and one inverse transform.  With beta = 0, F2 vanishes and
-    only the diffusion half is applied.  ``m`` and x are component-first
-    planes, shape (3, N0, N1[, N2]), so each per-axis transform is a matmul.
+    only the diffusion half is applied.  ``m`` is component-first planes,
+    shape (3, N0, N1[, N2]), so each per-axis transform is a matmul; x holds
+    the same values in any shape, and M^-1 x comes back in that shape.
     """
     bases = [
         _axis_eigenbasis(n, h, grid.boundary)
@@ -262,7 +272,7 @@ def _tangent_plane_preconditioner(grid, m, params):
         scale = (np.stack((a, b)) / (a * a + b * b))[:, None]  # (F1, F2)
 
     def apply(x):
-        x = x.reshape(m.shape)
+        shape, x = x.shape, x.reshape(m.shape)
         mx = np.einsum("i...,i...->...", m, x)
         t = x - m * mx
         for k, (_, _, inv) in enumerate(bases):
@@ -275,74 +285,142 @@ def _tangent_plane_preconditioner(grid, m, params):
         t = t[0] if scale is None else t[0] - _cross(m, t[1], np.empty_like(m))
         # project back onto the tangent plane, keep m(m.x)
         t += m * (mx - np.einsum("i...,i...->...", m, t))
-        return t.ravel()
+        return t.reshape(shape)
 
     return apply
 
 
+def krylov_workspace(shape, restart):
+    """Storage for the Krylov vectors of ``gmres`` on arrays of ``shape``:
+    restart + 1 Arnoldi vectors and restart preconditioned directions.
+    Rows are written before they are read, so it may be reused by any solve
+    of that shape and restart; rows a solve does not reach are not touched."""
+    return np.empty((2 * restart + 1,) + tuple(shape))
+
+
+def gmres(matvec, b, x0, *, rtol, restart, max_iter, psolve=None, callback=None,
+          work=None):
+    """Restarted GMRES for A x = b, right-preconditioned by ``psolve`` (x -> M^-1 x).
+
+    ``matvec`` and ``psolve`` map arrays of the shape of ``b`` to new arrays
+    of that shape.  Each cycle starts from the true residual r, runs up to
+    ``restart`` Arnoldi steps on A M^-1 (modified Gram-Schmidt, Givens
+    rotations) and keeps each direction z_j = M^-1 v_j, so that it ends in
+    x += Z y with no further apply; then one matvec takes r = b - A x.  A
+    cycle stops early once the estimate |g| of ||b - A x|| drops to ``rtol``
+    ||b||, and the solve once the true ||r|| does, or after ``max_iter``
+    cycles.  A solve of k iterations in c cycles costs k applies and
+    k + c + 1 matvecs.  ``callback`` gets |g| / ||b|| once per iteration.
+    ``work`` is a ``krylov_workspace`` for the solve (a new one if None).
+    Returns (x, ||b - A x|| / ||b||), the residual from the last matvec.
+    """
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros_like(b), 0.0
+    if work is None:
+        work = krylov_workspace(b.shape, restart)
+    if work.shape != (2 * restart + 1,) + b.shape:
+        raise ValueError(f"workspace of shape {work.shape} does not fit restart "
+                         f"{restart} and vectors of shape {b.shape}")
+    basis = work[:restart + 1]
+    dirs = work if psolve is None else work[restart + 1:]  # z_j = v_j unpreconditioned
+    target = rtol * b_norm
+    x = np.array(x0, dtype=float)
+    r = b - matvec(x)
+    r_norm = np.linalg.norm(r)
+    for _ in range(max_iter):
+        if r_norm <= target:
+            break
+        hess = np.zeros((restart + 1, restart))
+        g = np.zeros(restart + 1)
+        g[0] = r_norm
+        rotations = []
+        np.divide(r, r_norm, out=basis[0])
+        for j in range(restart):
+            if psolve is not None:
+                dirs[j] = psolve(basis[j])
+            w = matvec(dirs[j])
+            w_norm = np.linalg.norm(w)
+            for i in range(j + 1):
+                hess[i, j] = np.vdot(basis[i], w)
+                # v_{j+1} is not yet written: scratch for the product
+                w -= np.multiply(hess[i, j], basis[i], out=basis[j + 1])
+            hess[j + 1, j] = np.linalg.norm(w)
+            # lucky breakdown: A z_j lies in the basis, so x is exact in it
+            breakdown = hess[j + 1, j] <= np.finfo(float).eps * w_norm
+            if breakdown:
+                hess[j + 1, j] = 0.0
+            else:
+                np.divide(w, hess[j + 1, j], out=basis[j + 1])
+            for i, (c, s) in enumerate(rotations):
+                hess[i, j], hess[i + 1, j] = (c * hess[i, j] + s * hess[i + 1, j],
+                                              c * hess[i + 1, j] - s * hess[i, j])
+            mag = math.hypot(hess[j, j], hess[j + 1, j])
+            c, s = hess[j, j] / mag, hess[j + 1, j] / mag
+            rotations.append((c, s))
+            hess[j, j], hess[j + 1, j] = mag, 0.0
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            if callback is not None:
+                callback(float(abs(g[j + 1]) / b_norm))
+            if abs(g[j + 1]) <= target or breakdown:
+                break
+        k = j + 1
+        y = g[:k]  # back substitution in the rotated, upper triangular hess
+        for i in range(k - 1, -1, -1):
+            y[i] = (y[i] - hess[i, i + 1:k] @ y[i + 1:]) / hess[i, i]
+        x += np.tensordot(y, dirs[:k], axes=1)
+        r = b - matvec(x)
+        r_norm = np.linalg.norm(r)
+    return x, float(r_norm / b_norm)
+
+
 def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig,
-                       t_new, x0=None):
+                       t_new, x0=None, work=None):
     """Solve A(mt) = rhs matrix-free from the start ``x0`` (a field on the
-    grid; m_prev if None); returns (mt, krylov_iters, residual)."""
+    grid; m_prev if None) in the ``krylov_workspace`` ``work`` (a new one
+    if None); returns (mt, krylov_iters, residual).
+
+    ``krylov_iters`` counts the solve's matvecs but the final true-residual
+    one, and ``residual`` is that true ||rhs - A mt|| / ||rhs||: above
+    10 * rel_tol the solve raises ``SolverError`` with the GMRES residual
+    estimate of every iteration.
+    """
     grid = m_prev.grid
     grid.require_uniform()
-    planes = (3,) + grid.counts
-    n = m_prev.data.size
     m = _planes(m_prev.data)
     m_seen = np.moveaxis(m, 0, -1)  # indexed components last, laid out first
-
-    matvec_count = [0]
+    matvecs = 0
 
     def matvec(x):
-        matvec_count[0] += 1
-        v = np.moveaxis(x.reshape(planes), 0, -1)
-        return np.moveaxis(_apply_operator(grid, v, m_seen, params), -1, 0).ravel()
+        nonlocal matvecs
+        matvecs += 1
+        v = np.moveaxis(x, 0, -1)
+        return np.moveaxis(_apply_operator(grid, v, m_seen, params), -1, 0)
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    rhs = _build_rhs(m_prev, m, params, t_new).ravel()
-    b_norm = np.linalg.norm(rhs)
-    if b_norm == 0.0:
-        return VectorField.zeros(grid), 0, 0.0
-
-    M = None
+    psolve = None
     if cfg.preconditioner == TANGENT_PLANE:
-        M = LinearOperator(
-            (n, n),
-            matvec=_tangent_plane_preconditioner(grid, m, params),
-            dtype=float,
-        )
-
+        psolve = _tangent_plane_preconditioner(grid, m, params)
     residuals = []
-
-    def callback(arg):
-        residuals.append(float(np.linalg.norm(np.atleast_1d(arg))))
-
     # rtol is relative to ||rhs||, so a better start does not loosen the solve
-    x, info = gmres(
-        op,
-        rhs,
-        x0=m.ravel() if x0 is None else _planes(x0.data).ravel(),
+    x, residual = gmres(
+        matvec,
+        _build_rhs(m_prev, m, params, t_new),
+        m if x0 is None else _planes(x0.data),
         rtol=cfg.rel_tol,
-        atol=0.0,
         restart=cfg.restart,
-        maxiter=cfg.max_iter,
-        M=M,
-        callback=callback,
-        callback_type="pr_norm",
+        max_iter=cfg.max_iter,
+        psolve=psolve,
+        callback=residuals.append,
+        work=work,
     )
-
-    # the true residual decides: GMRES reports info > 0 whenever its own
-    # (preconditioned) residual misses rel_tol within the budget, also where
-    # the true residual passes this check
-    residual = float(np.linalg.norm(matvec(x) - rhs) / b_norm)
-    matvec_count[0] -= 1  # the residual check above is not a solver iteration
     if not residual <= cfg.rel_tol * 10.0:
         raise SolverError(
-            f"Krylov solve failed (info={info}, relative residual {residual:.3e})",
+            f"Krylov solve failed after {len(residuals)} iterations "
+            f"(relative residual {residual:.3e})",
             residuals,
         )
-    m_tilde = np.moveaxis(x.reshape(planes), 0, -1).copy()
-    return VectorField(grid, m_tilde), matvec_count[0], residual
+    m_tilde = np.moveaxis(x, 0, -1).copy()
+    return VectorField(grid, m_tilde), max(matvecs - 1, 0), residual
 
 
 def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
@@ -357,12 +435,14 @@ def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
 
 
 def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, step_index=0,
-         x0=None):
-    """One full scheme step: implicit solve from ``x0`` then projection.
+         x0=None, work=None):
+    """One full scheme step: implicit solve from ``x0`` (in the Krylov
+    storage ``work``) then projection.
 
     Returns (m_new, m_tilde, report).
     """
-    m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new, x0=x0)
+    m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new, x0=x0,
+                                                  work=work)
     lengths = m_tilde.pointwise_norm()
     m_new = normalize(m_tilde, lengths)
     report = StepReport(
@@ -409,7 +489,8 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
     last state, time and step number.  With ``steady_tol`` set, the loop
     exits early once ||m^n - m^(n-1)||_2 / dt drops below it.  The first
     step starts its solve from the initial state, every later one from the
-    extrapolation m^n + (mt^n - m^(n-1)) of the step before.
+    extrapolation m^n + (mt^n - m^(n-1)) of the step before.  All solves
+    share one ``krylov_workspace``, allocated here.
     """
     state, _ = ingest_initial(initial, override=override_unit_check)
     time, index = t_start, start_index
@@ -417,11 +498,12 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
         raise ValueError("time loop needs a positive dt")
     steady = False
     guess = None
+    work = krylov_workspace((3,) + state.grid.counts, cfg.restart)
     for k in range(1, n_steps + 1):
         t_new = t_start + k * params.dt
         m_prev = state
         m_new, m_tilde, report = step(
-            m_prev, params, cfg, t_new, step_index=start_index + k, x0=guess
+            m_prev, params, cfg, t_new, step_index=start_index + k, x0=guess, work=work
         )
         if not np.all(np.isfinite(m_new.data)):
             raise FloatingPointError(

@@ -403,7 +403,8 @@ def test_resumed_skyrmion_energies_match_uninterrupted_run(tmp_path):
               stepper.DegenerateStateError("zero node"), FloatingPointError("nan")],
     ids=["solver", "degenerate", "floating_point"],
 )
-def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch, error):
+def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch, capsys,
+                                                          error):
     failed, ref = tmp_path / "failed", tmp_path / "ref"
     cfg = skyrmion_cfg(tmp_path, failed)
     assert main(["skyrmion", "--config", cfg, "--out", str(ref)]) == 1  # 2 steps
@@ -415,8 +416,9 @@ def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch,
         return solve(m_prev, params, cfg, t_new, **kwargs)
 
     monkeypatch.setattr(stepper, "solve_intermediate", fail_at_step_3)
-    with pytest.raises(type(error)):
-        main(["skyrmion", "--config", cfg, "--override", "max_steps=5"])
+    capsys.readouterr()
+    assert main(["skyrmion", "--config", cfg, "--override", "max_steps=5"]) == 3
+    assert capsys.readouterr().err == f"solver error: {error}\n"
     config = parse_config(cfg)
     params = stepper.SchemeParams(beta=config.beta, gamma=config.gamma,
                                   dt=config.time_steps(config.make_grid())[0],

@@ -1,10 +1,15 @@
 """Stepper tests: dense-matrix oracles, scheme invariants and the time loop."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse.linalg import gmres
+import scipy.linalg
+import scipy.sparse.linalg
 
 import llgsip.stepper
 
@@ -28,7 +33,9 @@ from llgsip.stepper import (
     _cross,
     _cross_terms,
     _tangent_plane_preconditioner,
+    gmres,
     ingest_initial,
+    krylov_workspace,
     normalize,
     operator_apply,
     run,
@@ -270,11 +277,11 @@ def test_preconditioner_inverts_operator_on_uniform_state(boundary, rng):
 def test_krylov_matvec_equals_operator_apply(boundary, beta, rng, monkeypatch):
     # GMRES holds component-first vectors; its matvec keeps every bit of the
     # component-last operator_apply and applies the Laplacian once
-    operators, laplacians = [], []
+    matvecs, laplacians = [], []
 
-    def capturing_gmres(op, rhs, **kwargs):
-        operators.append(op)
-        return gmres(op, rhs, **kwargs)
+    def capturing_gmres(matvec, b, x0, **kwargs):
+        matvecs.append(matvec)
+        return gmres(matvec, b, x0, **kwargs)
 
     def counted_laplacian(grid, values):
         laplacians.append(values.shape)
@@ -289,9 +296,9 @@ def test_krylov_matvec_equals_operator_apply(boundary, beta, rng, monkeypatch):
         for _ in range(3):
             v = random_field(grid, rng)
             calls = len(laplacians)
-            out = operators[-1].matvec(planes(v.data).ravel())
+            out = matvecs[-1](planes(v.data))
             assert len(laplacians) == calls + 1
-            assert np.array_equal(out, planes(operator_apply(v, m, params).data).ravel())
+            assert np.array_equal(out, planes(operator_apply(v, m, params).data))
 
 
 def test_bubble_step_matvec_budget():
@@ -341,7 +348,7 @@ def test_preconditioned_solve_matches_unpreconditioned(
 
 def test_solver_error_carries_residual_history(rng):
     # one GMRES cycle of three iterations cannot reach rel_tol; the error
-    # keeps one preconditioned residual norm per iteration
+    # keeps one GMRES residual estimate per iteration
     m = random_unit_field(GridSpec((4, 4), (0.3, 0.3)), rng)
     params = SchemeParams(beta=1.0, gamma=1.0, dt=0.5)
     with pytest.raises(SolverError) as failure:
@@ -352,24 +359,184 @@ def test_solver_error_carries_residual_history(rng):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_true_residual_decides_over_gmres_info(seed, monkeypatch):
-    # one GMRES cycle ends with info = 1, as its preconditioned residual
-    # misses rel_tol, yet the true residual passes the 10 * rel_tol check
-    infos = []
-
-    def recording_gmres(*args, **kwargs):
-        x, info = gmres(*args, **kwargs)
-        infos.append(info)
-        return x, info
-
-    monkeypatch.setattr(llgsip.stepper, "gmres", recording_gmres)
+    # the residual a solve returns is ||b - A x|| / ||b|| from a fresh
+    # matvec, not GMRES's own estimate, and it alone decides: a solve that
+    # GMRES ends at its own looser tolerance fails on it
     rng = np.random.default_rng(seed)
     m = random_unit_field(GridSpec((4, 4), (0.5, 0.5)), rng)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.5)
     cfg = SolverConfig(max_iter=1)
-    _, _, residual = solve_intermediate(
-        m, SchemeParams(beta=1.0, gamma=1.0, dt=0.5), cfg, t_new=0.5
-    )
-    assert infos == [1]
+    mt, _, residual = solve_intermediate(m, params, cfg, t_new=0.5)
+    b = planes(m.data)  # unforced, exchange only: the right-hand side is m
+    ref = np.linalg.norm(b - planes(operator_apply(mt, m, params).data)) / np.linalg.norm(b)
+    assert residual == pytest.approx(ref, rel=1e-12, abs=0)
     assert residual <= 10 * cfg.rel_tol
+
+    def loose_gmres(*args, rtol, **kwargs):
+        return gmres(*args, rtol=1e-6, **kwargs)
+
+    monkeypatch.setattr(llgsip.stepper, "gmres", loose_gmres)
+    with pytest.raises(SolverError) as failure:
+        solve_intermediate(m, params, cfg, t_new=0.5)
+    history = failure.value.residuals
+    assert history and history[-1] <= 1e-6 < history[0]
+
+
+def random_system(rng, n):
+    """A well-conditioned nonsymmetric matrix, a rough approximate inverse
+    of it (its scaled upper triangle, inverted) and a right-hand side."""
+    a = 2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    approx = np.linalg.inv(np.diag(np.diag(a)) + 0.5 * np.triu(a, 1))
+    return a, approx, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gmres_matches_scipy(preconditioned, seed):
+    # restart 4 is far below the iterations these systems take, so the
+    # solve runs many cycles; both solvers reach the solution to 1e-10
+    rng = np.random.default_rng(seed)
+    a, approx, b = random_system(rng, 60)
+    x0 = rng.standard_normal(60)
+    start = x0.copy()
+    history = []
+    x, residual = gmres(lambda v: a @ v, b, x0, rtol=1e-13, restart=4, max_iter=200,
+                        psolve=(lambda v: approx @ v) if preconditioned else None,
+                        callback=history.append)
+    ref, info = scipy.sparse.linalg.gmres(a, b, x0=x0, rtol=1e-13, atol=0.0, restart=4,
+                                          maxiter=200, M=approx if preconditioned else None)
+    assert info == 0 and len(history) > 4
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-13
+    assert np.array_equal(x0, start)
+
+
+def test_gmres_costs_one_apply_per_iteration_and_one_matvec_per_cycle_more(rng):
+    a, approx, b = random_system(rng, 40)
+    counts = {"matvec": 0, "psolve": 0, "iterations": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for restart, cycles in ((40, 1), (3, None)):
+        counts.update(matvec=0, psolve=0, iterations=0)
+        gmres(counted("matvec", lambda v: a @ v), b, np.zeros(40), rtol=1e-12,
+              restart=restart, max_iter=100, psolve=counted("psolve", lambda v: approx @ v),
+              callback=counted("iterations", lambda r: None))
+        k = counts["iterations"]
+        cycles = cycles or -(-k // restart)
+        assert counts["psolve"] == k
+        assert counts["matvec"] == k + cycles + 1
+
+
+def test_solve_applies_preconditioner_once_per_iteration(monkeypatch):
+    # the tangent-plane apply runs once per Krylov iteration, none at the
+    # start residual or at the end of a cycle
+    applies, iterations = [], []
+    make = llgsip.stepper._tangent_plane_preconditioner
+
+    def counted_preconditioner(*args):
+        apply = make(*args)
+
+        def counted(x):
+            applies.append(1)
+            return apply(x)
+        return counted
+
+    def counted_gmres(*args, callback, **kwargs):
+        def count(estimate):
+            iterations.append(estimate)
+            callback(estimate)
+        return gmres(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(llgsip.stepper, "_tangent_plane_preconditioner",
+                        counted_preconditioner)
+    monkeypatch.setattr(llgsip.stepper, "gmres", counted_gmres)
+    h = 1 / 64
+    grid = GridSpec((65, 65), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    m = VectorField.from_function(grid, blowup_initial)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
+    _, iters, _ = solve_intermediate(m, params, SolverConfig(), t_new=params.dt)
+    assert len(applies) == len(iterations) > 1
+    # one cycle: the start residual and k Arnoldi matvecs; the end one is not counted
+    assert iters == len(iterations) + 1
+
+
+def test_run_reuses_one_workspace_for_the_same_results(monkeypatch):
+    # two steps of one run share the Krylov storage and give the bits of two
+    # solves that each allocate their own
+    works = []
+
+    def recording_gmres(*args, work, **kwargs):
+        works.append(work)
+        return gmres(*args, work=work, **kwargs)
+
+    monkeypatch.setattr(llgsip.stepper, "gmres", recording_gmres)
+    h = 1 / 16
+    grid = GridSpec((17, 17), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    m0 = VectorField.from_function(grid, blowup_initial)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
+    tildes = []
+    run(m0, params, SolverConfig(), 2, callbacks=[lambda rep, mp, mt, mn: tildes.append(mt)])
+    assert len(works) == 2 and works[0] is works[1] is not None
+    assert works[0].shape == (2 * SolverConfig().restart + 1, 3) + grid.counts
+
+    works.clear()
+    m_prev = ingest_initial(m0)[0]
+    fresh1, _, _ = solve_intermediate(m_prev, params, SolverConfig(), t_new=params.dt)
+    m1 = normalize(fresh1)
+    guess = VectorField(grid, fresh1.data - m_prev.data)
+    guess.data += m1.data
+    fresh2, _, _ = solve_intermediate(m1, params, SolverConfig(), t_new=2 * params.dt,
+                                      x0=guess)
+    assert works == [None, None]
+    assert np.array_equal(tildes[0].data, fresh1.data)
+    assert np.array_equal(tildes[1].data, fresh2.data)
+
+
+def test_gmres_rejects_a_workspace_that_does_not_fit(rng):
+    a, _, b = random_system(rng, 10)
+    with pytest.raises(ValueError, match="workspace"):
+        gmres(lambda v: a @ v, b, b, rtol=1e-12, restart=5, max_iter=3,
+              work=krylov_workspace((10,), 4))
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("n", [2, 5, 65, 128])
+def test_axis_eigenbasis_matches_scipy_generalized_eigh(boundary, n):
+    # the symmetrized problem gives the eigenvalues of W L v = lam W v, and
+    # the same spectral calculus V f(lam) V^-1; periodic eigenvalues come in
+    # pairs, so single eigenvectors are not unique and are not compared
+    h = 1.0 / n
+    lam, vecs, inv = _axis_eigenbasis(n, h, boundary)
+    assert np.max(np.abs(inv @ vecs - np.eye(n))) <= 1e-13
+    eye = np.eye(n)
+    lap = (np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye) / h ** 2
+    w = np.ones(n)
+    if boundary == NEUMANN:
+        lap[0, -1] = lap[-1, 0] = 0.0
+        lap[0, 1] = lap[-1, -2] = 2.0 / h ** 2
+        w[0] = w[-1] = 0.5
+    ref_lam, ref_vecs = scipy.linalg.eigh(w[:, None] * lap, np.diag(w))
+    scale = np.max(np.abs(ref_lam))
+    assert np.max(np.abs(lam - ref_lam)) <= 1e-13 * scale
+    resolvent = (vecs / (1.0 - 0.3 * h ** 2 * lam)) @ inv
+    ref = (ref_vecs / (1.0 - 0.3 * h ** 2 * ref_lam)) @ (ref_vecs.T * w)
+    assert np.max(np.abs(resolvent - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cli_import_loads_no_scipy():
+    # the solver is NumPy only: SciPy's import would cost most of a run's set-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, llgsip.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
