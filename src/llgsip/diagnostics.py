@@ -69,7 +69,8 @@ class ErrorAccumulator:
         self._update(m0, t0, include_h1=False)
 
     def _update(self, m, t, include_h1=True):
-        e = VectorField(self.grid, self.exact.sample(self.grid, t).data - m.data)
+        e = self.exact.sample(self.grid, t)
+        e.data -= m.data
         self.max_l2 = max(self.max_l2, l2_norm(e))
         if include_h1:
             self.sum_h1_sq += self.dt * grad_l2_norm(e) ** 2

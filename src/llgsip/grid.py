@@ -125,20 +125,28 @@ class VectorField:
     def from_function(cls, grid, fn, t=None):
         """Sample ``fn(*coords)`` or ``fn(*coords, t)`` at the nodes.
 
-        ``fn`` must return the three components (each broadcastable over the
-        node coordinate arrays).
+        ``coords`` are the node coordinates per axis as broadcastable arrays
+        (axis ``a``'s has length 1 but along ``a``), so ``fn`` must be built
+        of elementwise NumPy operations; each node gets the bits of ``fn`` on
+        the full meshgrid.  It returns the three components, each
+        broadcastable to ``counts``.
         """
-        coords = grid.meshgrid()
+        coords = np.meshgrid(*grid.axes_coordinates(), indexing="ij", sparse=True)
         comps = fn(*coords) if t is None else fn(*coords, t)
-        data = np.stack([np.broadcast_to(c, grid.counts) for c in comps], axis=-1)
-        return cls(grid, np.array(data, dtype=float))
+        if len(comps) != 3:
+            raise GridMismatchError(f"fn returned {len(comps)} components, expected 3")
+        data = np.empty(grid.counts + (3,))
+        for c, comp in enumerate(comps):
+            data[..., c] = comp
+        return cls(grid, data)
 
     def copy(self):
         return VectorField(self.grid, self.data.copy())
 
     def pointwise_norm(self):
         """|m| at every node, shape ``counts``."""
-        return np.sqrt(np.sum(self.data ** 2, axis=-1))
+        squares = _component_sum(self.data ** 2)
+        return np.sqrt(squares, out=squares)
 
 
 @dataclass
@@ -183,14 +191,23 @@ def _check_same_grid(f, g):
 # raw-array stencils (leading axes are the spatial ones, trailing shape free)
 # ---------------------------------------------------------------------------
 
-def _faces(grid, values):
-    """Per axis, the (upper, lower) node values at each face."""
+def _faces(grid, values, op):
+    """Per axis, the face array op(upper, lower) of the node values on either
+    side of each face.  The periodic wrap face is filled from slices too, so
+    no rolled copy of ``values`` is made."""
+    faces = []
     for a in range(grid.dim):
-        if grid.boundary == PERIODIC:
-            yield np.roll(values, -1, axis=a), values
-        else:
-            lead = (slice(None),) * a
-            yield values[lead + (slice(1, None),)], values[lead + (slice(None, -1),)]
+        lead = (slice(None),) * a
+        upper, lower = values[lead + (slice(1, None),)], values[lead + (slice(None, -1),)]
+        if grid.boundary == NEUMANN:
+            faces.append(op(upper, lower))
+            continue
+        face = np.empty_like(values)
+        op(upper, lower, out=face[lead + (slice(None, -1),)])
+        op(values[lead + (slice(0, 1),)], values[lead + (slice(-1, None),)],
+           out=face[lead + (slice(-1, None),)])
+        faces.append(face)
+    return faces
 
 
 def _neighbours(grid, axis, n):
@@ -206,12 +223,18 @@ def _neighbours(grid, axis, n):
 
 def array_gradient(grid, values):
     """Per-axis face arrays of forward differences (f_{i+1} - f_i)/h."""
-    return tuple((hi - lo) / h for (hi, lo), h in zip(_faces(grid, values), grid.spacing))
+    faces = _faces(grid, values, np.subtract)
+    for face, h in zip(faces, grid.spacing):
+        face /= h
+    return tuple(faces)
 
 
 def array_midpoint(grid, values):
     """Per-axis face arrays of the means (f_{i+1} + f_i)/2."""
-    return tuple(0.5 * (hi + lo) for hi, lo in _faces(grid, values))
+    faces = _faces(grid, values, np.add)
+    for face in faces:
+        face *= 0.5
+    return tuple(faces)
 
 
 def array_laplacian(grid, values):
@@ -298,27 +321,47 @@ def _face_weights(grid):
     )
 
 
+def _component_sum(products):
+    """p[..., 0] + p[..., 1] + p[..., 2] in that order: the bits of np.sum over
+    the trailing length-3 axis (but for the sign of a zero sum), without the
+    per-node cost of that reduction."""
+    total = products[..., 0] + products[..., 1]
+    total += products[..., 2]
+    return total
+
+
+def _weighted_sum(grid, products, weights):
+    """sum(weights * products), the trailing component axis of ``products``,
+    if any, contracted first; overwrites ``products``.  On a periodic grid
+    the weights are all ones and are not applied."""
+    if products.ndim > grid.dim:
+        products = _component_sum(products)
+    if grid.boundary == NEUMANN:
+        products *= weights
+    return np.sum(products)
+
+
 def inner_product(f: VectorField, g: VectorField) -> float:
     """Discrete l2 inner product, h^dim-weighted sum of pointwise dots."""
     _check_same_grid(f, g)
-    w = _node_weights(f.grid)
-    return float(f.grid.cell_volume * np.sum(w * np.sum(f.data * g.data, axis=-1)))
+    grid = f.grid
+    return float(grid.cell_volume * _weighted_sum(grid, f.data * g.data, _node_weights(grid)))
+
+
+def _face_total(grid, products):
+    """h^dim-weighted sum over every face of the per-axis face arrays
+    ``products`` (overwritten)."""
+    total = 0.0
+    for prod, w in zip(products, _face_weights(grid)):
+        total += _weighted_sum(grid, prod, w)
+    return float(grid.cell_volume * total)
 
 
 def gradient_inner_product(F: StaggeredGradient, G: StaggeredGradient) -> float:
     """h^dim-weighted sum over all faces of the per-face contractions."""
     if F.grid != G.grid:
         raise GridMismatchError("staggered gradients live on different grids")
-    grid = F.grid
-    fw = _face_weights(grid)
-    total = 0.0
-    for a in range(grid.dim):
-        prod = F.axes[a] * G.axes[a]
-        # contract any trailing (component) axes
-        while prod.ndim > grid.dim:
-            prod = prod.sum(axis=-1)
-        total += np.sum(fw[a] * prod)
-    return float(grid.cell_volume * total)
+    return _face_total(F.grid, (Fa * Ga for Fa, Ga in zip(F.axes, G.axes)))
 
 
 def l2_norm(f: VectorField) -> float:
@@ -326,8 +369,8 @@ def l2_norm(f: VectorField) -> float:
 
 
 def grad_l2_norm(f: VectorField) -> float:
-    g = gradient_apply(f)
-    return float(np.sqrt(max(gradient_inner_product(g, g), 0.0)))
+    squares = (np.square(d, out=d) for d in array_gradient(f.grid, f.data))
+    return float(np.sqrt(max(_face_total(f.grid, squares), 0.0)))
 
 
 def lp_norm(f: VectorField, p) -> float:

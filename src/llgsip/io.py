@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -311,18 +312,19 @@ def write_snapshot(f: VectorField, path, time=0.0, step=0, binary=False):
             fh.write(("\n".join(header) + "\n").encode())
             fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
         return
-    # one row per node in C order: indices, coordinates, then the 3 values;
-    # 256 rows at a time, as Python lists of a whole grid take megabytes
-    coords = [c.ravel() for c in grid.meshgrid()]
-    values = f.data.reshape(-1, 3)
+    # one row per node in C order: indices, coordinates, then the 3 values.
+    # Each axis's labels are rendered once, the trailing axes' joined once per
+    # node of a slab, and the rows go out one slab of the first axis at a time
+    labels = [list(zip(map(str, range(n)), map(repr, c.tolist())))
+              for n, c in zip(grid.counts, grid.axes_coordinates())]
+    inner = [(" ".join(i for i, _ in node), " ".join(x for _, x in node))
+             for node in itertools.product(*labels[1:])]
+    slabs = f.data.reshape(grid.counts[0], -1, 3)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for lo in range(0, grid.num_nodes, 256):
-            hi = min(lo + 256, grid.num_nodes)
-            index = np.column_stack(np.unravel_index(np.arange(lo, hi), grid.counts)).tolist()
-            table = np.column_stack([c[lo:hi] for c in coords] + [values[lo:hi]]).tolist()
-            fh.writelines(" ".join(map(str, i)) + " " + " ".join(map(repr, x)) + "\n"
-                          for i, x in zip(index, table))
+        for (index, coord), slab in zip(labels[0], slabs):
+            row = f"{index} %s {coord} %s %r %r %r\n"
+            fh.writelines([row % (i, x, *v) for (i, x), v in zip(inner, slab.tolist())])
 
 
 def read_snapshot(path):

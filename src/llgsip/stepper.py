@@ -434,6 +434,12 @@ def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
     return VectorField(m_tilde.grid, m_tilde.data / lengths[..., None])
 
 
+def _max_distance_from_one(values):
+    """max |values - 1|, formed in place of ``values``."""
+    values -= 1.0
+    return float(np.max(np.abs(values, out=values)))
+
+
 def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, step_index=0,
          x0=None, work=None):
     """One full scheme step: implicit solve from ``x0`` (in the Krylov
@@ -452,9 +458,9 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
         residual=residual,
         min_intermediate_length=float(np.min(lengths)),
         energy=extended_energy(m_new, params.model),
-        max_length_error=float(np.max(np.abs(m_new.pointwise_norm() - 1.0))),
-        max_orthogonality_error=float(np.max(np.abs(
-            np.einsum("...i,...i->...", m_tilde.data, m_prev.data) - 1.0))),
+        max_length_error=_max_distance_from_one(m_new.pointwise_norm()),
+        max_orthogonality_error=_max_distance_from_one(
+            np.einsum("...i,...i->...", m_tilde.data, m_prev.data)),
     )
     return m_new, m_tilde, report
 

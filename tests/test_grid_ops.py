@@ -8,13 +8,17 @@ from llgsip.grid import (
     PERIODIC,
     GridMismatchError,
     GridSpec,
+    StaggeredGradient,
     VectorField,
+    _face_weights,
+    _node_weights,
     array_central_difference,
     array_gradient,
     array_laplacian,
     array_midpoint,
     gradient_apply,
     gradient_inner_product,
+    grad_l2_norm,
     h1_norm,
     inner_product,
     interpolate_midpoint,
@@ -23,6 +27,13 @@ from llgsip.grid import (
     linf_norm,
     lp_norm,
     norms,
+)
+from llgsip.effective_field import exchange_energy
+from llgsip.exact import (
+    blowup_initial,
+    dissipation_initial,
+    manufactured_solution,
+    skyrmion_initial,
 )
 
 from conftest import random_field, random_unit_field, small_grids
@@ -337,3 +348,95 @@ def test_discrete_interpolation_inequality(rng):
     fitted = max(ratio(random_field(grid, rng)) for _ in range(50))
     for _ in range(50):
         assert ratio(random_field(grid, rng)) <= 1.05 * fitted
+
+
+# ---------------------------------------------------------------------------
+# component sums against reductions over the component axis, bit for bit
+# ---------------------------------------------------------------------------
+
+def reduced_inner_product(f, g):
+    w = _node_weights(f.grid)
+    return float(f.grid.cell_volume * np.sum(w * np.sum(f.data * g.data, axis=-1)))
+
+
+def reduced_gradient_inner_product(F, G):
+    grid = F.grid
+    total = 0.0
+    for a in range(grid.dim):
+        prod = F.axes[a] * G.axes[a]
+        while prod.ndim > grid.dim:
+            prod = prod.sum(axis=-1)
+        total += np.sum(_face_weights(grid)[a] * prod)
+    return float(grid.cell_volume * total)
+
+
+def reduced_grad_l2_norm(f):
+    g = gradient_apply(f)
+    return float(np.sqrt(max(reduced_gradient_inner_product(g, g), 0.0)))
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_norms_equal_length_3_reductions(boundary, rng):
+    grids = small_grids(boundary) + [
+        GridSpec((33, 20), (0.1, 0.1), boundary=boundary),
+        GridSpec((9, 11, 10), (0.3, 0.3, 0.3), boundary=boundary),
+    ]
+    for grid in grids:
+        for f, g in ((random_field(grid, rng), random_field(grid, rng)),
+                     (random_unit_field(grid, rng), random_unit_field(grid, rng))):
+            f.data *= np.exp(rng.uniform(-20.0, 20.0, grid.counts))[..., None]
+            assert np.array_equal(f.pointwise_norm(), np.sqrt(np.sum(f.data ** 2, axis=-1)))
+            assert inner_product(f, g) == reduced_inner_product(f, g)
+            assert l2_norm(f) == float(np.sqrt(max(reduced_inner_product(f, f), 0.0)))
+            F, G = gradient_apply(f), gradient_apply(g)
+            assert gradient_inner_product(F, G) == reduced_gradient_inner_product(F, G)
+            scalar = [StaggeredGradient(grid, tuple(x[..., 1] for x in H.axes))
+                      for H in (F, G)]
+            assert (gradient_inner_product(*scalar)
+                    == reduced_gradient_inner_product(*scalar))
+            assert grad_l2_norm(f) == reduced_grad_l2_norm(f)
+            assert exchange_energy(f) == 0.5 * reduced_grad_l2_norm(f) ** 2
+
+
+# ---------------------------------------------------------------------------
+# sampling closed forms on sparse coordinates
+# ---------------------------------------------------------------------------
+
+def sampled_on_meshgrid(grid, fn, t=None):
+    coords = grid.meshgrid()
+    comps = fn(*coords) if t is None else fn(*coords, t)
+    data = np.stack([np.broadcast_to(c, grid.counts) for c in comps], axis=-1)
+    return np.array(data, dtype=float)
+
+
+TWO_PI = GridSpec((24, 19), (2 * np.pi / 24, 2 * np.pi / 19))
+UNIT_SQUARE = GridSpec((33, 33), (1 / 32, 1 / 32), origin=(-0.5, -0.5), boundary=NEUMANN)
+SAMPLED = [
+    (TWO_PI, dissipation_initial),
+    (UNIT_SQUARE, blowup_initial),
+    (GridSpec((40, 31), (0.4, 0.4), boundary=NEUMANN),
+     lambda x, y: skyrmion_initial(x, y, (7.8, 6.0), 3.0)),
+    (GridSpec((5, 6, 7), (0.3, 0.2, 0.1), origin=(-1.0, 0.5, 2.0)),
+     lambda x, y, z: (np.sin(x) * np.cos(y) * z, np.exp(-x * y * z), np.hypot(x, z))),
+    (TWO_PI, lambda x, y: (np.sin(x), 0.5, np.cos(y))),
+]
+
+
+@pytest.mark.parametrize("grid, fn", SAMPLED)
+def test_from_function_equals_meshgrid_sampling(grid, fn):
+    assert np.array_equal(VectorField.from_function(grid, fn).data,
+                          sampled_on_meshgrid(grid, fn))
+
+
+@pytest.mark.parametrize("beta, gamma", [(1.0, 1.0), (0.0, 0.1), (-2.5, 3.0)])
+def test_manufactured_fields_equal_meshgrid_sampling(beta, gamma):
+    exact = manufactured_solution(beta, gamma)
+    for t in (0.0, 1e-3, 0.37, 1.0, 12.5):
+        for fn in (exact.m, exact.forcing):
+            assert np.array_equal(VectorField.from_function(TWO_PI, fn, t=t).data,
+                                  sampled_on_meshgrid(TWO_PI, fn, t))
+
+
+def test_from_function_rejects_a_wrong_component_count():
+    with pytest.raises(GridMismatchError, match="2 components"):
+        VectorField.from_function(TWO_PI, lambda x, y: (x, y))

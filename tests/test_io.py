@@ -314,6 +314,38 @@ def test_snapshot_text_body_matches_reference(tmp_path, rng, boundary, counts):
     assert body == reference_snapshot_body(f)
 
 
+def chunked_snapshot_body(f):
+    """The text body built 256 rows at a time from the meshgrid
+    coordinates, joining each row's str and repr pieces."""
+    grid = f.grid
+    coords = [c.ravel() for c in grid.meshgrid()]
+    values = f.data.reshape(-1, 3)
+    rows = []
+    for lo in range(0, grid.num_nodes, 256):
+        hi = min(lo + 256, grid.num_nodes)
+        index = np.column_stack(np.unravel_index(np.arange(lo, hi), grid.counts)).tolist()
+        table = np.column_stack([c[lo:hi] for c in coords] + [values[lo:hi]]).tolist()
+        rows += [" ".join(map(str, i)) + " " + " ".join(map(repr, x)) + "\n"
+                 for i, x in zip(index, table)]
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("counts", [(23, 17), (2, 300), (4, 3, 5)])
+def test_snapshot_bytes_equal_chunked_writer(tmp_path, rng, counts):
+    grid = GridSpec(counts, (0.1, 1e-7, 3.0)[:len(counts)],
+                    origin=(-2.5, 1e-300, -7.0)[:len(counts)], boundary="neumann")
+    values = rng.standard_normal(grid.counts + (3,))
+    values.flat[::5] *= 1e-310  # subnormal
+    values.flat[1::5] = np.round(values.flat[1::5] * 10)  # integral, zeros among them
+    values.flat[2::7] = -0.0
+    values.flat[3::5] *= -1e300
+    f = VectorField(grid, values)
+    path = tmp_path / "snap.txt"
+    write_snapshot(f, path, time=0.25, step=3)
+    body = path.read_bytes().split(b"# body text\n", 1)[1]
+    assert body == chunked_snapshot_body(f).encode()
+
+
 def test_snapshot_rejects_rows_off_the_node_list(tmp_path, rng):
     grid = GridSpec((3, 3), (0.5, 0.5))
     path = tmp_path / "snap.txt"
