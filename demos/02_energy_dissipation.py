@@ -18,7 +18,7 @@ def sweep(n=32, dt=0.05, steps=40, gammas=(0.1, 0.5, 1.0, 10.0)):
     h = 2 * np.pi / n
     grid = GridSpec((n, n), (h, h))
     m0 = VectorField.from_function(grid, dissipation_initial)
-    cfg = SolverConfig(rel_tol=1e-12)
+    cfg = SolverConfig()
     print(f"grid {n}x{n}, dt = {dt}, horizon {steps * dt}; E(0) = "
           f"{exchange_energy(m0):.6f}")
     for gamma in gammas:

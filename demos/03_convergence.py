@@ -25,7 +25,7 @@ from llgsip.stepper import SchemeParams, SolverConfig, run
 
 def study(levels, steps_rule, t_end=1.0):
     exact = manufactured_solution(beta=1.0, gamma=1.0)
-    cfg = SolverConfig(rel_tol=1e-12)
+    cfg = SolverConfig()
     records = []
     for n in levels:
         h = 2 * np.pi / n

@@ -38,7 +38,7 @@ def main():
                   f"|grad m| = {grad_l2_norm(m_new):.4f}, "
                   f"max |m| error = {report.max_length_error:.1e}")
 
-    run(m0, params, SolverConfig(rel_tol=1e-12), steps, callbacks=[watch])
+    run(m0, params, SolverConfig(), steps, callbacks=[watch])
     print("energy decayed monotonically through the core sharpening")
 
 

@@ -38,14 +38,7 @@ def main():
         if report.step_index % 50 == 0:
             history.append((report.time, report.energy, skyrmion_number(m_new)))
 
-    res = run(
-        m0,
-        params,
-        SolverConfig(rel_tol=1e-12),
-        20000,
-        callbacks=[track],
-        steady_tol=1e-6,
-    )
+    res = run(m0, params, SolverConfig(), 20000, callbacks=[track], steady_tol=1e-6)
     for t, e, q in history[:: max(1, len(history) // 8)]:
         print(f"  t = {t:8.2f}: E = {e:9.4f}, Q = {q:.4f}")
     print(f"steady = {res.steady} after {res.step} steps; "

@@ -8,15 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective_field import UnsupportedConfigurationError
-from .grid import (
-    VectorField,
-    array_central_difference,
-    gradient_apply,
-    l2_norm,
-    grad_l2_norm,
-    _node_weights,
-)
+from .effective_field import UnsupportedConfigurationError, planar_derivatives
+from .grid import VectorField, gradient_apply, l2_norm, grad_l2_norm, node_sum
 
 
 @dataclass
@@ -102,16 +95,9 @@ def skyrmion_number(m: VectorField) -> float:
     """
     if m.grid.dim != 2:
         raise UnsupportedConfigurationError("skyrmion number is defined on 2D grids")
-    grid = m.grid
-    d1 = np.stack(
-        [array_central_difference(grid, m.data[..., c], 0) for c in range(3)], axis=-1
-    )
-    d2 = np.stack(
-        [array_central_difference(grid, m.data[..., c], 1) for c in range(3)], axis=-1
-    )
-    integrand = np.sum(m.data * np.cross(d2, d1), axis=-1)
-    w = _node_weights(grid)
-    return float(grid.cell_volume * np.sum(w * integrand) / (4.0 * np.pi))
+    d1, d2 = planar_derivatives(m)
+    integrand = m.data * np.cross(d2, d1)
+    return float(m.grid.cell_volume * node_sum(m.grid, integrand) / (4.0 * np.pi))
 
 
 class FailureLog:

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    VectorField,
-    array_central_difference,
-    grad_l2_norm,
-    _node_weights,
-)
+from .grid import VectorField, array_central_difference, grad_l2_norm, node_sum
 
 EXCHANGE_ONLY = "exchange_only"
 EXTENDED = "extended"
@@ -64,7 +59,7 @@ class FieldModel:
         return cls(EXTENDED, float(kappa), int(lam))
 
 
-def _require_2d(m, model):
+def _require_2d(m):
     if m.grid.dim != 2:
         raise UnsupportedConfigurationError(
             "the extended (anisotropy + DMI) model is planar; got a "
@@ -72,32 +67,26 @@ def _require_2d(m, model):
         )
 
 
-def _planar_differences(m: VectorField):
-    """D1 m2, D1 m3, D2 m1 and D2 m3: the central differences of the planar
-    curl, shared by the DMI field and the DMI energy."""
-    grid = m.grid
-    m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
-    return (
-        array_central_difference(grid, m2, 0),
-        array_central_difference(grid, m3, 0),
-        array_central_difference(grid, m1, 1),
-        array_central_difference(grid, m3, 1),
-    )
+def planar_derivatives(m: VectorField):
+    """(D1 m, D2 m): the central differences of all three components along
+    the two planar axes, shared by the DMI field, the DMI energy and the
+    skyrmion number."""
+    return tuple(array_central_difference(m.grid, m.data, axis) for axis in (0, 1))
 
 
 def explicit_field_apply(m: VectorField, model: FieldModel) -> VectorField:
     """Non-exchange part of the effective field, evaluated at the nodes."""
     if model.variant == EXCHANGE_ONLY:
         return VectorField.zeros(m.grid)
-    _require_2d(m, model)
+    _require_2d(m)
     grid = m.grid
-    d1m2, d1m3, d2m1, d2m3 = _planar_differences(m)
+    d1, d2 = planar_derivatives(m)
     out = np.zeros(grid.counts + (3,))
     out[..., 2] = model.kappa * m.data[..., 2]
     lam = model.lam
-    out[..., 0] -= 2.0 * lam * d2m3
-    out[..., 1] += 2.0 * lam * d1m3
-    out[..., 2] -= 2.0 * lam * (d1m2 - d2m1)
+    out[..., 0] -= 2.0 * lam * d2[..., 2]
+    out[..., 1] += 2.0 * lam * d1[..., 2]
+    out[..., 2] -= 2.0 * lam * (d1[..., 1] - d2[..., 0])
     return VectorField(grid, out)
 
 
@@ -108,20 +97,17 @@ def exchange_energy(m: VectorField) -> float:
 
 def dmi_energy(m: VectorField, lam) -> float:
     """lam * sum_nodes (curl m) . m, weighted like the l2 inner product."""
-    grid = m.grid
     m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
-    d1m2, d1m3, d2m1, d2m3 = _planar_differences(m)
-    # planar curl: (d2 m3, -d1 m3, d1 m2 - d2 m1)
-    curl_dot_m = m1 * d2m3 - m2 * d1m3 + m3 * (d1m2 - d2m1)
-    w = _node_weights(grid)
-    return float(lam * grid.cell_volume * np.sum(w * curl_dot_m))
+    d1, d2 = planar_derivatives(m)
+    # planar curl: (D2 m3, -D1 m3, D1 m2 - D2 m1)
+    curl_dot_m = m1 * d2[..., 2] - m2 * d1[..., 2] + m3 * (d1[..., 1] - d2[..., 0])
+    return float(lam * m.grid.cell_volume * node_sum(m.grid, curl_dot_m))
 
 
 def anisotropy_energy(m: VectorField, kappa) -> float:
     """(kappa/2) * sum_nodes (m1^2 + m2^2)."""
-    w = _node_weights(m.grid)
     planar = m.data[..., 0] ** 2 + m.data[..., 1] ** 2
-    return float(0.5 * kappa * m.grid.cell_volume * np.sum(w * planar))
+    return float(0.5 * kappa * m.grid.cell_volume * node_sum(m.grid, planar))
 
 
 def extended_energy(m: VectorField, model: FieldModel) -> float:
@@ -133,7 +119,7 @@ def extended_energy(m: VectorField, model: FieldModel) -> float:
     """
     if model.variant == EXCHANGE_ONLY:
         return exchange_energy(m)
-    _require_2d(m, model)
+    _require_2d(m)
     e = exchange_energy(m)
     e += anisotropy_energy(m, model.kappa)
     e += dmi_energy(m, model.lam)

@@ -341,11 +341,18 @@ def _weighted_sum(grid, products, weights):
     return np.sum(products)
 
 
+def node_sum(grid, values):
+    """Sum over the nodes of ``values`` (overwritten) with the quadrature
+    weights of the l2 inner product, a trailing component axis, if any,
+    contracted first.  Every node integral in the package goes through here,
+    so summation by parts stays exact."""
+    return _weighted_sum(grid, values, _node_weights(grid))
+
+
 def inner_product(f: VectorField, g: VectorField) -> float:
     """Discrete l2 inner product, h^dim-weighted sum of pointwise dots."""
     _check_same_grid(f, g)
-    grid = f.grid
-    return float(grid.cell_volume * _weighted_sum(grid, f.data * g.data, _node_weights(grid)))
+    return float(f.grid.cell_volume * node_sum(f.grid, f.data * g.data))
 
 
 def _face_total(grid, products):
@@ -378,9 +385,8 @@ def lp_norm(f: VectorField, p) -> float:
         raise ValueError(f"lp norm needs p >= 1, got {p}")
     if np.isinf(p):
         return linf_norm(f)
-    w = _node_weights(f.grid)
-    mags = f.pointwise_norm()
-    return float((f.grid.cell_volume * np.sum(w * mags ** p)) ** (1.0 / p))
+    total = node_sum(f.grid, f.pointwise_norm() ** p)
+    return float((f.grid.cell_volume * total) ** (1.0 / p))
 
 
 def linf_norm(f: VectorField) -> float:

@@ -255,9 +255,8 @@ def _tangent_plane_preconditioner(grid, m, params):
     so for uniform m.  F1 = a/(a^2 + b^2) and F2 = b/(a^2 + b^2) are diagonal
     in the tensor product of the per-axis eigenbases, so both halves share
     one forward and one inverse transform.  With beta = 0, F2 vanishes and
-    only the diffusion half is applied.  ``m`` is component-first planes,
-    shape (3, N0, N1[, N2]), so each per-axis transform is a matmul; x holds
-    the same values in any shape, and M^-1 x comes back in that shape.
+    only the diffusion half is applied.  ``m`` and x are component-first
+    planes, shape (3, N0, N1[, N2]), so each per-axis transform is a matmul.
     """
     bases = [
         _axis_eigenbasis(n, h, grid.boundary)
@@ -272,7 +271,6 @@ def _tangent_plane_preconditioner(grid, m, params):
         scale = (np.stack((a, b)) / (a * a + b * b))[:, None]  # (F1, F2)
 
     def apply(x):
-        shape, x = x.shape, x.reshape(m.shape)
         mx = np.einsum("i...,i...->...", m, x)
         t = x - m * mx
         for k, (_, _, inv) in enumerate(bases):
@@ -285,7 +283,7 @@ def _tangent_plane_preconditioner(grid, m, params):
         t = t[0] if scale is None else t[0] - _cross(m, t[1], np.empty_like(m))
         # project back onto the tangent plane, keep m(m.x)
         t += m * (mx - np.einsum("i...,i...->...", m, t))
-        return t.reshape(shape)
+        return t
 
     return apply
 

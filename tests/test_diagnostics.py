@@ -16,6 +16,8 @@ from llgsip.diagnostics import (
 from llgsip.effective_field import UnsupportedConfigurationError, exchange_energy
 from llgsip.exact import blowup_initial, dissipation_initial, skyrmion_initial
 from llgsip.grid import (
+    NEUMANN,
+    PERIODIC,
     GridSpec,
     VectorField,
     gradient_apply,
@@ -23,7 +25,7 @@ from llgsip.grid import (
 )
 from llgsip.stepper import SchemeParams, SolverConfig, StepReport, run
 
-from conftest import random_unit_field
+from conftest import central_difference, node_weight, random_unit_field
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,22 @@ def test_skyrmion_number_requires_2d(rng):
     grid = GridSpec((4, 4, 4), (0.5, 0.5, 0.5))
     with pytest.raises(UnsupportedConfigurationError):
         skyrmion_number(random_unit_field(grid, rng))
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_skyrmion_number_matches_per_node_loop(boundary, rng):
+    # reflected ghosts at Neumann walls; there the normal difference vanishes,
+    # so the integrand, and with it the half weight of a wall node, is zero
+    grid = GridSpec((7, 6), (0.3, 0.25), boundary=boundary)
+    m = random_unit_field(grid, rng)
+    total = scale = 0.0
+    for i in np.ndindex(grid.counts):
+        d1, d2 = (central_difference(grid, m.data, i, axis) for axis in (0, 1))
+        term = node_weight(grid, i) * np.dot(m.data[i], np.cross(d2, d1))
+        total += term
+        scale += abs(term)
+    factor = grid.cell_volume / (4 * np.pi)
+    assert abs(skyrmion_number(m) - factor * total) <= 1e-13 * factor * scale
 
 
 def seed_field(n=256, h=0.1):

@@ -13,9 +13,9 @@ from llgsip.effective_field import (
     extended_energy,
 )
 from llgsip.exact import blowup_initial
-from llgsip.grid import GridSpec, VectorField
+from llgsip.grid import NEUMANN, PERIODIC, GridSpec, VectorField
 
-from conftest import random_unit_field
+from conftest import central_difference, node_weight, random_unit_field
 
 
 def test_uniform_state_gives_pure_anisotropy_field():
@@ -33,25 +33,30 @@ def test_exchange_only_field_is_zero(rng):
     assert np.all(h.data == 0.0)
 
 
-def test_dmi_field_matches_naive_central_differences():
+def test_dmi_field_matches_naive_central_differences(rng):
     n = 16
     h = 2 * np.pi / n
-    grid = GridSpec((n, n), (h, h))
-    m = VectorField.from_function(
-        grid, lambda X, Y: (np.sin(X), 0 * X, np.cos(X))
-    )
     model = FieldModel.extended(kappa=0.0, lam=1)
-    field = explicit_field_apply(m, model)
+    for boundary, pad in ((PERIODIC, "wrap"), (NEUMANN, "reflect")):
+        grid = GridSpec((n, n), (h, h), boundary=boundary)
 
-    def dc(arr, axis):
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * h)
+        def dc(arr, axis):
+            # ghost nodes by np.pad: the wrap, or the reflection m_{-1} = m_1
+            ext = np.pad(arr, [(1, 1) if a == axis else (0, 0) for a in range(2)], mode=pad)
+            upper, lower = np.arange(2, n + 2), np.arange(n)
+            return (ext.take(upper, axis) - ext.take(lower, axis)) / (2 * h)
 
-    m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
-    expected = np.zeros_like(m.data)
-    expected[..., 0] = -2 * dc(m3, 1)
-    expected[..., 1] = 2 * dc(m3, 0)
-    expected[..., 2] = -2 * (dc(m2, 0) - dc(m1, 1))
-    assert np.max(np.abs(field.data - expected)) <= 1e-13
+        for m in (
+            VectorField.from_function(grid, lambda X, Y: (np.sin(X), 0 * X, np.cos(X))),
+            random_unit_field(grid, rng),
+        ):
+            field = explicit_field_apply(m, model)
+            m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
+            expected = np.zeros_like(m.data)
+            expected[..., 0] = -2 * dc(m3, 1)
+            expected[..., 1] = 2 * dc(m3, 0)
+            expected[..., 2] = -2 * (dc(m2, 0) - dc(m1, 1))
+            assert np.max(np.abs(field.data - expected)) <= 1e-13
 
 
 def test_extended_model_rejects_3d(rng):
@@ -122,6 +127,26 @@ def test_extended_energy_matches_quadrature_oracle():
             )
     oracle = h * h * (exch + aniso + model.lam * curl)
     assert value == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_dmi_and_anisotropy_energies_match_per_node_loop(boundary, rng):
+    # half weight per wall on Neumann nodes, reflected ghosts at the walls
+    grid = GridSpec((7, 6), (0.3, 0.25), boundary=boundary)
+    m = random_unit_field(grid, rng)
+    d = m.data
+    aniso = dmi = dmi_scale = 0.0
+    for i in np.ndindex(grid.counts):
+        w = node_weight(grid, i)
+        d1, d2 = (central_difference(grid, d, i, axis) for axis in (0, 1))
+        aniso += w * (d[i][0] ** 2 + d[i][1] ** 2)
+        term = w * (d[i][0] * d2[2] - d[i][1] * d1[2] + d[i][2] * (d1[1] - d2[0]))
+        dmi += term
+        dmi_scale += abs(term)
+    vol = grid.cell_volume
+    assert anisotropy_energy(m, 3.0) == pytest.approx(0.5 * 3.0 * vol * aniso, rel=1e-13)
+    for lam in (1, -1):
+        assert abs(dmi_energy(m, lam) - lam * vol * dmi) <= 1e-13 * vol * dmi_scale
 
 
 def test_translation_equivariance(rng):

@@ -11,7 +11,6 @@ from llgsip.grid import (
     StaggeredGradient,
     VectorField,
     _face_weights,
-    _node_weights,
     array_central_difference,
     array_gradient,
     array_laplacian,
@@ -36,7 +35,7 @@ from llgsip.exact import (
     skyrmion_initial,
 )
 
-from conftest import random_field, random_unit_field, small_grids
+from conftest import node_weight, random_field, random_unit_field, small_grids
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +354,9 @@ def test_discrete_interpolation_inequality(rng):
 # ---------------------------------------------------------------------------
 
 def reduced_inner_product(f, g):
-    w = _node_weights(f.grid)
-    return float(f.grid.cell_volume * np.sum(w * np.sum(f.data * g.data, axis=-1)))
+    grid = f.grid
+    w = np.reshape([node_weight(grid, i) for i in np.ndindex(grid.counts)], grid.counts)
+    return float(grid.cell_volume * np.sum(w * np.sum(f.data * g.data, axis=-1)))
 
 
 def reduced_gradient_inner_product(F, G):
