@@ -4,8 +4,8 @@ Each ``cmd_*`` function takes a parsed ExperimentConfig, writes its CSV
 time series / snapshots under ``config.out_dir`` and returns a small result
 object whose ``ok`` flag drives the process exit status.  The unforced
 experiments list in ``violations`` every step that broke one of the
-scheme's guarantees.  Each reads only the keys ``io.keys_read`` names, and
-solves at the ``SolverConfig()`` defaults, which ``stepper.INVARIANTS`` rest on.
+scheme's guarantees, and a steady skyrmion whose charge is not its mode's.
+Each reads only the keys ``io.keys_read`` names, and solves at ``SolverConfig()``.
 """
 
 from __future__ import annotations
@@ -239,6 +239,11 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
 # skyrmion relaxation
 # ---------------------------------------------------------------------------
 
+# the charge each mode relaxes to, and the |Q - charge| a steady state may show
+MODE_CHARGE = {"Q1": 1.0, "Q0": 0.0}
+CHARGE_TOL = 0.05
+
+
 @dataclass
 class SkyrmionResult:
     final_state: VectorField
@@ -301,9 +306,14 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         # budget exhausted: keep the last state around for a resumed run
         write_checkpoint(res.state, last_path, res.time, res.step, params)
     log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
+    charge = skyrmion_number(res.state)
+    target = MODE_CHARGE[config.mode]
+    if res.steady and abs(charge - target) > CHARGE_TOL:  # not checked out of budget
+        log.failures.add("charge", f"Q = {charge:.4f} at steady state, but mode {config.mode} "
+                                   f"needs |Q - {target:g}| <= {CHARGE_TOL}")
     return SkyrmionResult(
         final_state=res.state,
-        charge=skyrmion_number(res.state),
+        charge=charge,
         steady=res.steady,
         series=log.series(),
         snapshot_path=snap_path,

@@ -8,18 +8,19 @@ Each step solves the linear system
 matrix-free with restarted GMRES (m the previous, pointwise unit state; H
 the explicit non-exchange field; f an optional forcing), then renormalizes
 mt node by node back onto the unit sphere.  ``gmres`` is this module's own
-right-preconditioned solver; by default its preconditioner is the inverse
-of A's tangent-plane diffusion and precession, exact for uniform m (see
-``_tangent_plane_preconditioner``).  The module needs NumPy alone.
+right-preconditioned solver, run to the fixed ``SolverConfig.rel_tol``, and
+every solve is preconditioned by the inverse of A's tangent-plane diffusion
+and precession, exact for uniform m (see ``_tangent_plane_preconditioner``).
+The module needs NumPy alone.
 
-GMRES works on the unknowns ordered components first, as planes of shape
-(3, N0, N1[, N2]): m, the right-hand side and the start are moved there
-once per step and the solution is moved back once, so that every cross
-product of the matvec and every transform of the preconditioner runs on
-contiguous planes.  ``run`` starts each solve after the first from the
-extrapolation m^n + (mt^n - m^(n-1)); the first starts from m^n.  It also
-keeps one Krylov workspace for all its solves, so that the solver's
-storage is allocated, and faulted in, once per run rather than per step.
+The step has one layout, component-first planes of shape (3, N0, N1[, N2]):
+m, the right-hand side and the start are moved there once per step and the
+solution is moved back once, so that every cross product of A and every
+transform of the preconditioner runs on contiguous planes; the Laplacian
+alone sees them components last, as a view.  ``run`` starts each solve
+after the first from the extrapolation m^n + (mt^n - m^(n-1)); the first
+starts from m^n.  It also keeps one Krylov workspace for all its solves, so
+that the solver's storage is allocated, and faulted in, once per run.
 
 Without forcing the intermediate solution satisfies mt . m == 1 and
 |mt| >= 1 at every node (up to solver tolerance), which is what makes the
@@ -33,10 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
-from .effective_field import FieldModel, explicit_field_apply, extended_energy
+from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, explicit_field_apply,
+                              extended_energy)
 from .grid import (
     NEUMANN,
     GridMismatchError,
@@ -44,8 +47,6 @@ from .grid import (
     array_laplacian,
     l2_norm,
 )
-
-TANGENT_PLANE = "tangent_plane"
 
 
 class SolverError(RuntimeError):
@@ -92,16 +93,11 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    rel_tol: float = 1e-12
+    rel_tol: ClassVar[float] = 1e-12  # fixed: the bounds of INVARIANTS rest on it
     max_iter: int = 500
     restart: int = 30
-    preconditioner: str = TANGENT_PLANE  # or None
 
     def __post_init__(self):
-        if self.preconditioner not in (TANGENT_PLANE, None):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.restart < 1:
@@ -117,7 +113,7 @@ INVARIANTS = (
 )
 # The energy rise a step may show, per field model: round-off only where the
 # scheme is provably dissipative; more with the explicit anisotropy and DMI
-ENERGY_RISE = {"exchange_only": 1e-8, "extended": 1e-6}
+ENERGY_RISE = {EXCHANGE_ONLY: 1e-8, EXTENDED: 1e-6}
 
 
 @dataclass
@@ -156,56 +152,54 @@ def _cross(a, b, out):
     return out
 
 
-def _cross_terms(m_data, w, beta, gamma):
-    """beta m x w + gamma m x (m x w), pointwise on arrays indexed components
-    last; the result keeps the memory layout of ``w``."""
-    m, w = np.moveaxis(m_data, -1, 0), np.moveaxis(w, -1, 0)
+def _cross_terms(m, w, beta, gamma):
+    """beta m x w + gamma m x (m x w), pointwise on planes; the result keeps
+    the memory layout of ``w``."""
     c1 = _cross(m, w, np.empty_like(w))
     c2 = _cross(m, c1, np.empty_like(w))
     c1 *= beta
     c2 *= gamma
     c2 += c1
-    return np.moveaxis(c2, 0, -1)
+    return c2
 
 
 def _apply_operator(grid, v, m, params):
-    """A(v) on arrays indexed components last, in the memory layout of ``v``.
+    """A(v) on planes, in the memory layout of ``v``: the one definition of A.
 
-    The one definition of A: ``operator_apply`` passes component-last data,
-    the Krylov matvec component-first planes seen components last, whose
-    Laplacian and cross products then run on contiguous planes.  Every
-    operation is elementwise, so both layouts give the same bits.
+    The Laplacian takes its input components last, so it sees ``v`` through
+    a view and its result goes back the same way.  Every operation is
+    elementwise, so any layout of ``v`` gives the same bits.
     """
-    out = _cross_terms(m, array_laplacian(grid, v), params.beta, params.gamma)
+    lap = np.moveaxis(array_laplacian(grid, np.moveaxis(v, 0, -1)), -1, 0)
+    out = _cross_terms(m, lap, params.beta, params.gamma)
     out *= params.dt
     out += v
     return out
+
+
+def _planes(data):
+    """Component-last data seen as planes, shape (3, N0, N1[, N2]): a view."""
+    return np.moveaxis(data, -1, 0)
 
 
 def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) -> VectorField:
     """Left-hand operator A(v) = v + dt*[beta m x lap v + gamma m x (m x lap v)]."""
     if v.grid != m_prev.grid:
         raise GridMismatchError("operand and previous state live on different grids")
-    return VectorField(v.grid, _apply_operator(v.grid, v.data, m_prev.data, params))
-
-
-def _planes(data):
-    """A contiguous component-first copy, shape (3, N0, N1[, N2]), of
-    component-last data."""
-    return np.moveaxis(data, -1, 0).copy()
+    # on views, so the result is laid out components last
+    out = _apply_operator(v.grid, _planes(v.data), _planes(m_prev.data), params)
+    return VectorField(v.grid, np.moveaxis(out, 0, -1))
 
 
 def _build_rhs(m_prev, m, params, t_new):
-    """The right-hand side in component-first planes; ``m`` is m_prev's."""
+    """The right-hand side in planes; ``m`` is m_prev's."""
     rhs = m.copy()
-    if params.model.variant != "exchange_only":
-        h_expl = explicit_field_apply(m_prev, params.model)
-        rhs -= np.moveaxis(params.dt * _cross_terms(
-            m_prev.data, h_expl.data, params.beta, params.gamma
-        ), -1, 0)
+    if params.model.variant != EXCHANGE_ONLY:
+        h_expl = _planes(explicit_field_apply(m_prev, params.model).data)
+        rhs -= params.dt * _cross_terms(m, h_expl, params.beta, params.gamma)
     if params.forcing is not None:
         f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new)
-        rhs += np.moveaxis(params.dt * f.data, -1, 0)
+        rhs += params.dt * _planes(f.data)
     return rhs
 
 
@@ -385,29 +379,24 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     """
     grid = m_prev.grid
     grid.require_uniform()
-    m = _planes(m_prev.data)
-    m_seen = np.moveaxis(m, 0, -1)  # indexed components last, laid out first
+    m = np.ascontiguousarray(_planes(m_prev.data))
     matvecs = 0
 
     def matvec(x):
         nonlocal matvecs
         matvecs += 1
-        v = np.moveaxis(x, 0, -1)
-        return np.moveaxis(_apply_operator(grid, v, m_seen, params), -1, 0)
+        return _apply_operator(grid, x, m, params)
 
-    psolve = None
-    if cfg.preconditioner == TANGENT_PLANE:
-        psolve = _tangent_plane_preconditioner(grid, m, params)
     residuals = []
     # rtol is relative to ||rhs||, so a better start does not loosen the solve
     x, residual = gmres(
         matvec,
         _build_rhs(m_prev, m, params, t_new),
-        m if x0 is None else _planes(x0.data),
+        m if x0 is None else np.ascontiguousarray(_planes(x0.data)),
         rtol=cfg.rel_tol,
         restart=cfg.restart,
         max_iter=cfg.max_iter,
-        psolve=psolve,
+        psolve=_tangent_plane_preconditioner(grid, m, params),
         callback=residuals.append,
         work=work,
     )
@@ -417,8 +406,7 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
             f"(relative residual {residual:.3e})",
             residuals,
         )
-    m_tilde = np.moveaxis(x, 0, -1).copy()
-    return VectorField(grid, m_tilde), max(matvecs - 1, 0), residual
+    return VectorField(grid, np.moveaxis(x, 0, -1).copy()), max(matvecs - 1, 0), residual
 
 
 def normalize(m_tilde: VectorField, lengths=None) -> VectorField:

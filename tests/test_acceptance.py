@@ -155,7 +155,7 @@ def test_criterion_5_dense_oracle_equivalence(rng):
                 direct = operator_apply(v, m, params).data.ravel()
                 worst = max(worst, np.max(np.abs(mat @ v.data.ravel() - direct)))
             mt, _, _ = solve_intermediate(
-                m, params, SolverConfig(rel_tol=1e-12), t_new=params.dt
+                m, params, SolverConfig(), t_new=params.dt
             )
             ref = np.linalg.solve(mat, m.data.ravel())
             worst = max(worst, np.max(np.abs(mt.data.ravel() - ref)))

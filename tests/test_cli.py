@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 
 import llgsip.cli
+import llgsip.experiments
 from llgsip import stepper
 from llgsip.cli import main
 from llgsip.effective_field import FieldModel
+from llgsip.exact import skyrmion_initial
 from llgsip.experiments import (
     BlowupResult,
     DissipateResult,
     SkyrmionResult,
     _EnergyLog,
     cmd_converge,
+    cmd_skyrmion,
     format_error_table,
 )
-from llgsip.grid import GridSpec, VectorField
-from llgsip.io import parse_config, read_checkpoint
-from llgsip.stepper import StepReport
+from llgsip.grid import NEUMANN, GridSpec, VectorField
+from llgsip.io import parse_config, read_checkpoint, write_snapshot
+from llgsip.stepper import RunResult, StepReport
 
 
 TWO_PI = 2 * np.pi
@@ -427,6 +430,51 @@ def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch,
     expected, ref_time, _ = read_checkpoint(ref / "skyrmion_q1_last.ckpt", params)
     assert step == 2 and time == ref_time
     assert state.data.tobytes() == expected.data.tobytes()
+
+
+def steady_state(charge):
+    """A unit state of skyrmion number 0 (uniform) or about 0.97 (the seed
+    on the 64^2 grid of a 25.4 box)."""
+    h = 25.4 / 63
+    grid = GridSpec((64, 64), (h, h), boundary=NEUMANN)
+    if charge == 0:
+        return VectorField.constant(grid, (0.0, 0.0, 1.0))
+    return VectorField.from_function(
+        grid, lambda x, y: skyrmion_initial(x, y, (12.7, 12.7), 3.0))
+
+
+@pytest.mark.parametrize(
+    "mode, charge, code, message",
+    [
+        ("Q1", 1, 0, None),
+        ("Q1", 0, 1, "Q = 0.0000 at steady state, but mode Q1 needs |Q - 1| <= 0.05"),
+        ("Q0", 0, 0, None),
+        # the relaxation back to the unit charge that a Q0 run can show
+        ("Q0", 1, 1, "Q = 0.9742 at steady state, but mode Q0 needs |Q - 0| <= 0.05"),
+    ],
+)
+def test_steady_skyrmion_has_the_charge_of_its_mode(tmp_path, capsys, monkeypatch, mode,
+                                                    charge, code, message):
+    state = steady_state(charge)
+    monkeypatch.setattr(llgsip.experiments, "run", lambda *args, **kwargs: RunResult(
+        state=state, time=1.0, step=10, steady=True))
+    cfg = skyrmion_cfg(tmp_path, tmp_path / "o")
+    argv = ["skyrmion", "--config", cfg, "--override", f"mode={mode}"]
+    if mode == "Q0":
+        seed = tmp_path / "seed.txt"
+        write_snapshot(VectorField.constant(parse_config(cfg).make_grid(), (0.0, 0.0, 1.0)),
+                       str(seed))
+        argv += ["--override", f"input_state={seed}"]
+    assert main(argv) == code
+    assert capsys.readouterr().err.splitlines() == ([message] if message else [])
+
+
+def test_skyrmion_out_of_budget_is_not_charge_checked(tmp_path, monkeypatch):
+    state = steady_state(0)
+    monkeypatch.setattr(llgsip.experiments, "run", lambda *args, **kwargs: RunResult(
+        state=state, time=1.0, step=2, steady=False))
+    result = cmd_skyrmion(parse_config(skyrmion_cfg(tmp_path, tmp_path / "o")))
+    assert not result.steady and result.charge == 0.0 and result.violations == []
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def dissipation_run(callback, n=16, steps=5, dt=0.05):
     run(
         m0,
         SchemeParams(beta=1.0, gamma=1.0, dt=dt),
-        SolverConfig(rel_tol=1e-12),
+        SolverConfig(),
         steps,
         callbacks=[callback],
     )
