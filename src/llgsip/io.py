@@ -250,6 +250,14 @@ def _build_config(raw):
     if cfg.experiment == "blowup" and not all(0 <= t <= cfg.t_end for t in cfg.snapshot_times):
         raise ConfigError(f"key 'snapshot_times': each must lie in [0, t_end = "
                           f"{cfg.t_end!r}], got {cfg.snapshot_times}")
+    if cfg.experiment == "converge":  # its manufactured solution is 2*pi-periodic
+        if cfg.boundary != PERIODIC:
+            raise ConfigError(f"{raw['boundary'][1]}: key 'boundary': a converge run needs "
+                              f"'{PERIODIC}', got {cfg.boundary!r}")
+        turns = [(hi - lo) / (2 * math.pi) for lo, hi in cfg.domain]
+        if not all(abs(t - round(t)) <= 1e-9 * t for t in turns):
+            raise ConfigError(f"{raw['domain'][1]}: key 'domain': a converge run needs "
+                              f"sides that are whole multiples of 2*pi, got {cfg.domain}")
     # the scheme's analysis assumes hx == hy on every grid the run builds
     grids = [(n, n) for n in cfg.levels] if cfg.experiment == "converge" else [cfg.grid]
     for counts in grids:

@@ -10,7 +10,8 @@ the explicit non-exchange field; f an optional forcing), then renormalizes
 mt node by node back onto the unit sphere.  ``gmres`` is this module's own
 right-preconditioned solver, run to the fixed ``SolverConfig.rel_tol``, and
 every solve is preconditioned by the inverse of A's tangent-plane diffusion
-and precession, exact for uniform m (see ``_tangent_plane_preconditioner``).
+and precession, exact for uniform m up to float32 rounding (see
+``_tangent_plane_preconditioner``, which runs in single precision).
 The module needs NumPy alone.
 
 The step has one layout, component-first planes of shape (3, N0, N1[, N2]):
@@ -229,6 +230,24 @@ def _axis_eigenbasis(n, h, boundary):
     return basis
 
 
+@lru_cache(maxsize=32)
+def _spectral_factors(grid, beta, gamma, dt, dtype):
+    """What ``_tangent_plane_preconditioner`` keeps over a run, in ``dtype``:
+    each axis's V and V^-1, and the scaling (F1, F2) stacked on a leading
+    axis (1/a alone at beta = 0), cast from the float64 eigenbases."""
+    bases = [_axis_eigenbasis(n, h, grid.boundary) for n, h in zip(grid.counts, grid.spacing)]
+    # eigenvalues of lap_h, one per tensor-product mode
+    eig = sum(np.meshgrid(*(lam for lam, _, _ in bases), indexing="ij", sparse=True))
+    a = 1.0 - gamma * dt * eig
+    b = beta * dt * eig
+    scale = (np.stack((a, b)) / (a * a + b * b))[:1 if beta == 0 else 2, None]
+    factors = ([vecs.astype(dtype) for _, vecs, _ in bases],
+               [inv.astype(dtype) for _, _, inv in bases], scale.astype(dtype))
+    for arr in factors[0] + factors[1] + [factors[2]]:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return factors
+
+
 def _along_axis(mat, values, axis):
     """Apply the matrix ``mat`` along one axis of a raw array by matmul: mat
     times each stacked (n, after) block, or on the last axis the rows times
@@ -238,7 +257,7 @@ def _along_axis(mat, values, axis):
     return (mat @ values.reshape(values.shape[:axis + 1] + (-1,))).reshape(values.shape)
 
 
-def _tangent_plane_preconditioner(grid, m, params):
+def _tangent_plane_preconditioner(grid, m, params, dtype=np.float32):
     """x -> m(m.x) + P [V F1 V^-1 P x - m x (V F2 V^-1 P x)], P = I - m m^T.
 
     For unit m, m x (m x w) = m(m.w) - w, so A = I - dt(gamma P - beta J)
@@ -246,38 +265,36 @@ def _tangent_plane_preconditioner(grid, m, params):
     the tangent plane, where J^2 = -I, a + bJ per eigenmode lam of lap_h,
     with a = 1 - gamma dt lam and b = beta dt lam.  This keeps the normal
     component and inverts the tangent part as (a - bJ)/(a^2 + b^2), exactly
-    so for uniform m.  F1 = a/(a^2 + b^2) and F2 = b/(a^2 + b^2) are diagonal
-    in the tensor product of the per-axis eigenbases, so both halves share
-    one forward and one inverse transform.  With beta = 0, F2 vanishes and
-    only the diffusion half is applied.  ``m`` and x are component-first
-    planes, shape (3, N0, N1[, N2]), so each per-axis transform is a matmul.
+    so for uniform m up to float32 rounding.  F1 = a/(a^2 + b^2) and
+    F2 = b/(a^2 + b^2) are diagonal in the tensor product of the per-axis
+    eigenbases, so both halves share one forward and one inverse transform.
+    With beta = 0, F2 vanishes and only the diffusion half is applied.
+    ``m`` and x are component-first planes, shape (3, N0, N1[, N2]), so each
+    per-axis transform is a matmul.
+
+    The apply runs in ``dtype`` (float32: single-precision GEMMs) and
+    returns float64.  GMRES keeps each direction it returns and decides
+    the solve on the float64 true residual, so an inexact M^-1 costs at most
+    iterations, never accuracy; float64 is for tests of the algebra alone.
     """
-    bases = [
-        _axis_eigenbasis(n, h, grid.boundary)
-        for n, h in zip(grid.counts, grid.spacing)
-    ]
-    # eigenvalues of lap_h, one per tensor-product mode
-    eig = sum(np.meshgrid(*(lam for lam, _, _ in bases), indexing="ij", sparse=True))
-    a = 1.0 - params.gamma * params.dt * eig
-    scale = None  # beta = 0: F2 = 0 and F1 = 1/a, applied as a division by a
-    if params.beta != 0:
-        b = params.beta * params.dt * eig
-        scale = (np.stack((a, b)) / (a * a + b * b))[:, None]  # (F1, F2)
+    vecs, invs, scale = _spectral_factors(grid, params.beta, params.gamma, params.dt, dtype)
+    m = m.astype(dtype)
 
     def apply(x):
+        x = x.astype(dtype)
         mx = np.einsum("i...,i...->...", m, x)
         t = x - m * mx
-        for k, (_, _, inv) in enumerate(bases):
+        for k, inv in enumerate(invs):
             t = _along_axis(inv, t, k + 1)
         # (F1 t, F2 t) on a leading axis, so one inverse transform serves
-        # both halves; with beta = 0 the axis holds t / a alone
-        t = t[None] / a if scale is None else scale * t
-        for k, (_, vecs, _) in enumerate(bases):
-            t = _along_axis(vecs, t, k + 2)
-        t = t[0] if scale is None else t[0] - _cross(m, t[1], np.empty_like(m))
+        # both halves; with beta = 0 the axis holds F1 t = t / a alone
+        t = scale * t
+        for k, mat in enumerate(vecs):
+            t = _along_axis(mat, t, k + 2)
+        t = t[0] if len(t) == 1 else t[0] - _cross(m, t[1], np.empty_like(m))
         # project back onto the tangent plane, keep m(m.x)
         t += m * (mx - np.einsum("i...,i...->...", m, t))
-        return t
+        return t.astype(np.float64)
 
     return apply
 

@@ -331,6 +331,10 @@ def run_shipped(config, override, out):
         ("converge_table2", "levels=1 8", "levels"),
         ("converge_table2", "levels=8 -16", "levels"),
         ("converge_table2", "levels =", "levels"),
+        # the manufactured solution is 2*pi-periodic: other boxes printed
+        # rates near 0 and exited 0
+        ("converge_table2", "boundary=neumann", "boundary"),
+        ("converge_table2", "domain=0 5 0 5", "domain"),
     ],
 )
 def test_inputs_the_scheme_cannot_take_exit_with_config_error(tmp_path, capsys, config,
@@ -344,6 +348,19 @@ def test_inputs_the_scheme_cannot_take_exit_with_config_error(tmp_path, capsys, 
     assert code == 2
     assert err.startswith("config error:") and f"key '{key}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shift, turns", [(0.0123, 1), (-0.4, 1), (0.0123, 2)])
+def test_converge_runs_on_shifted_and_wider_periodic_boxes(tmp_path, shift, turns):
+    # a box shifted by less than a cell, as the benchmark draws it, passes
+    # the whole-period check despite the rounding of (2*pi + d) - d
+    lo, hi = shift, turns * TWO_PI + shift
+    out = tmp_path / "o"
+    code = main(["converge", "--config", str(CONFIG_DIR / "converge_table2.cfg"),
+                 "--out", str(out), "--override", "levels=4 8",
+                 "--override", f"domain={lo!r} {hi!r} {lo!r} {hi!r}"])
+    assert code == 0
+    assert (out / "converge_h_linear.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Stepper tests: dense-matrix oracles, scheme invariants and the time loop."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import scipy.sparse.linalg
 import llgsip.stepper
 
 from llgsip.diagnostics import ExactSolution
-from llgsip.exact import blowup_initial, dissipation_initial, manufactured_solution
-from llgsip.effective_field import exchange_energy
+from llgsip.exact import (blowup_initial, dissipation_initial, manufactured_solution,
+                          skyrmion_initial)
+from llgsip.effective_field import FieldModel, exchange_energy
 from llgsip.grid import (
     NEUMANN,
     PERIODIC,
@@ -32,6 +34,7 @@ from llgsip.stepper import (
     _axis_eigenbasis,
     _cross,
     _cross_terms,
+    _spectral_factors,
     _tangent_plane_preconditioner,
     gmres,
     ingest_initial,
@@ -220,19 +223,25 @@ def tensordot_preconditioner(m_prev, params):
     return apply
 
 
-@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
-@pytest.mark.parametrize("beta", [0.0, -1.7])
-def test_preconditioner_matches_tensordot_reference(boundary, beta, rng):
-    params = SchemeParams(beta=beta, gamma=1.3, dt=0.2)
-    for grid in (
+def preconditioner_grids(boundary):
+    return (
         GridSpec((9, 7), (0.4, 0.4), boundary=boundary),
         GridSpec((64, 65), (0.1, 0.1), boundary=boundary),
         GridSpec((5, 6, 4), (0.4, 0.4, 0.4), boundary=boundary),
-    ):
+    )
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("beta", [0.0, -1.7])
+def test_preconditioner_matches_tensordot_reference(boundary, beta, rng):
+    # the algebra, checked in float64; the solver's apply runs in float32
+    params = SchemeParams(beta=beta, gamma=1.3, dt=0.2)
+    for grid in preconditioner_grids(boundary):
         m = random_unit_field(grid, rng)
         x = rng.standard_normal((3,) + grid.counts)  # component-first, as GMRES holds it
         before = x.copy()
-        out = _tangent_plane_preconditioner(grid, planes(m.data), params)(x)
+        out = _tangent_plane_preconditioner(grid, planes(m.data), params,
+                                            dtype=np.float64)(x)
         ref = planes(tensordot_preconditioner(m, params)(np.moveaxis(x, 0, -1)))
         assert np.array_equal(x, before)  # GMRES still holds its operand
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -257,12 +266,77 @@ def test_preconditioner_inverts_operator_on_uniform_state(boundary, rng):
             ),
         )
         v = random_field(grid, rng)
-        apply = _tangent_plane_preconditioner(grid, planes(m.data), params)
+        apply = _tangent_plane_preconditioner(grid, planes(m.data), params, dtype=np.float64)
         out = apply(planes(operator_apply(v, m, params).data))
         assert np.max(np.abs(out - planes(v.data))) <= 1e-13
-        # GMRES also spends a matvec on the start and on the end residual
+        # GMRES also spends a matvec on the start and on the end residual; in
+        # float32, M^-1 A = I only to single-precision rounding, which costs
+        # one iteration more than the one exact M^-1 would need
         _, iters, res = solve_intermediate(m, params, SolverConfig(), t_new=params.dt)
         assert iters <= 3 and res <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("beta", [0.0, -1.7])
+def test_single_precision_preconditioner_matches_double(boundary, beta, rng):
+    params = SchemeParams(beta=beta, gamma=1.3, dt=0.2)
+    for grid in preconditioner_grids(boundary):
+        m = planes(random_unit_field(grid, rng).data)
+        x = rng.standard_normal((3,) + grid.counts)
+        before = x.copy()
+        out = _tangent_plane_preconditioner(grid, m, params)(x)
+        ref = _tangent_plane_preconditioner(grid, m, params, dtype=np.float64)(x)
+        assert np.array_equal(x, before)  # GMRES still holds its operand
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def per_step_iters(initial, params, n_steps):
+    iters = []
+    run(initial, params, SolverConfig(), n_steps,
+        callbacks=[lambda report, *_: iters.append(report.krylov_iters)])
+    return iters
+
+
+def bubble_case():
+    h = 1 / 64
+    grid = GridSpec((65, 65), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    return (VectorField.from_function(grid, blowup_initial),
+            SchemeParams(beta=1.0, gamma=1.0, dt=1e-3), 10)
+
+
+def skyrmion_case():
+    # skyrmion_q1_smoke.cfg on a 64^2 box of the same h
+    grid = GridSpec((64, 64), (0.2, 0.2), boundary=NEUMANN)
+    center = (6.3, 6.3)
+    initial = VectorField.from_function(grid, lambda x, y: skyrmion_initial(x, y, center))
+    model = FieldModel.extended(3.0, 1)
+    return initial, SchemeParams(beta=0.0, gamma=1.0, dt=0.05, model=model), 40
+
+
+@pytest.mark.parametrize("case", [bubble_case, skyrmion_case], ids=["bubble", "skyrmion"])
+def test_single_precision_preconditioner_costs_no_iterations(case, monkeypatch):
+    initial, params, n_steps = case()
+    single = per_step_iters(initial, params, n_steps)
+    monkeypatch.setattr(llgsip.stepper, "_tangent_plane_preconditioner",
+                        functools.partial(_tangent_plane_preconditioner, dtype=np.float64))
+    double = per_step_iters(initial, params, n_steps)
+    assert len(single) == len(double) == n_steps
+    assert all(s <= d for s, d in zip(single, double)), (single, double)
+
+
+def test_run_builds_spectral_factors_once(rng):
+    grid = GridSpec((12, 10), (0.3, 0.3), boundary=NEUMANN)
+    params = SchemeParams(beta=0.4, gamma=0.9, dt=0.0123)  # a key no other test uses
+    misses = _spectral_factors.cache_info().misses
+    run(random_unit_field(grid, rng), params, SolverConfig(), 5)
+    assert _spectral_factors.cache_info().misses == misses + 1
+    vecs, invs, scale = _spectral_factors(grid, params.beta, params.gamma, params.dt,
+                                          np.float32)
+    assert _spectral_factors.cache_info().misses == misses + 1
+    assert scale.shape == (2, 1) + grid.counts
+    for arr in vecs + invs + [scale]:
+        assert arr.dtype == np.float32 and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
