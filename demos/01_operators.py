@@ -39,8 +39,8 @@ def main():
     rng = np.random.default_rng(7)
     for boundary in ("periodic", "neumann"):
         g2 = GridSpec((17, 13), (0.3, 0.4), boundary=boundary)
-        f = VectorField(g2, rng.standard_normal(g2.counts + (3,)))
-        g = VectorField(g2, rng.standard_normal(g2.counts + (3,)))
+        f = VectorField(g2, rng.standard_normal((3,) + g2.counts))
+        g = VectorField(g2, rng.standard_normal((3,) + g2.counts))
         lhs = -inner_product(laplacian_apply(f), g)
         rhs = gradient_inner_product(gradient_apply(f), gradient_apply(g))
         print(f"summation by parts ({boundary:8s}): |lhs - rhs| = "

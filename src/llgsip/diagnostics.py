@@ -96,7 +96,7 @@ def skyrmion_number(m: VectorField) -> float:
     if m.grid.dim != 2:
         raise UnsupportedConfigurationError("skyrmion number is defined on 2D grids")
     d1, d2 = planar_derivatives(m)
-    integrand = m.data * np.cross(d2, d1)
+    integrand = m.data * np.cross(d2, d1, axis=0)
     return float(m.grid.cell_volume * node_sum(m.grid, integrand) / (4.0 * np.pi))
 
 
@@ -145,7 +145,7 @@ class GradientReductionCheck:
 
     def __call__(self, report, m_prev, m_tilde, m_new):
         excess = max(
-            float(np.max(np.linalg.norm(gn, axis=-1) - np.linalg.norm(gt, axis=-1)))
+            float(np.max(np.linalg.norm(gn, axis=0) - np.linalg.norm(gt, axis=0)))
             for gn, gt in zip(gradient_apply(m_new).axes, gradient_apply(m_tilde).axes)
         )
         self.worst = max(self.worst, excess)

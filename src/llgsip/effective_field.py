@@ -81,12 +81,12 @@ def explicit_field_apply(m: VectorField, model: FieldModel) -> VectorField:
     _require_2d(m)
     grid = m.grid
     d1, d2 = planar_derivatives(m)
-    out = np.zeros(grid.counts + (3,))
-    out[..., 2] = model.kappa * m.data[..., 2]
+    out = np.zeros((3,) + grid.counts)
+    out[2] = model.kappa * m.data[2]
     lam = model.lam
-    out[..., 0] -= 2.0 * lam * d2[..., 2]
-    out[..., 1] += 2.0 * lam * d1[..., 2]
-    out[..., 2] -= 2.0 * lam * (d1[..., 1] - d2[..., 0])
+    out[0] -= 2.0 * lam * d2[2]
+    out[1] += 2.0 * lam * d1[2]
+    out[2] -= 2.0 * lam * (d1[1] - d2[0])
     return VectorField(grid, out)
 
 
@@ -97,16 +97,16 @@ def exchange_energy(m: VectorField) -> float:
 
 def dmi_energy(m: VectorField, lam) -> float:
     """lam * sum_nodes (curl m) . m, weighted like the l2 inner product."""
-    m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
+    m1, m2, m3 = m.data
     d1, d2 = planar_derivatives(m)
     # planar curl: (D2 m3, -D1 m3, D1 m2 - D2 m1)
-    curl_dot_m = m1 * d2[..., 2] - m2 * d1[..., 2] + m3 * (d1[..., 1] - d2[..., 0])
+    curl_dot_m = m1 * d2[2] - m2 * d1[2] + m3 * (d1[1] - d2[0])
     return float(lam * m.grid.cell_volume * node_sum(m.grid, curl_dot_m))
 
 
 def anisotropy_energy(m: VectorField, kappa) -> float:
     """(kappa/2) * sum_nodes (m1^2 + m2^2)."""
-    planar = m.data[..., 0] ** 2 + m.data[..., 1] ** 2
+    planar = m.data[0] ** 2 + m.data[1] ** 2
     return float(0.5 * kappa * m.grid.cell_volume * node_sum(m.grid, planar))
 
 

@@ -92,5 +92,5 @@ def charge_zero_transform(n_data):
     m = (2 n3 n1, 2 n3 n2, 2 n3^2 - 1); algebraically unit-length whenever
     |n| = 1.
     """
-    n1, n2, n3 = n_data[..., 0], n_data[..., 1], n_data[..., 2]
-    return np.stack([2 * n3 * n1, 2 * n3 * n2, 2 * n3 ** 2 - 1.0], axis=-1)
+    n1, n2, n3 = n_data
+    return np.stack([2 * n3 * n1, 2 * n3 * n2, 2 * n3 ** 2 - 1.0])

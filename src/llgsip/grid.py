@@ -18,7 +18,7 @@ approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -99,27 +99,28 @@ class GridSpec:
 
 @dataclass
 class VectorField:
-    """One 3-vector per lattice node, array shape counts + (3,)."""
+    """One 3-vector per lattice node, stored as component planes: array
+    shape (3,) + counts, ``data[k]`` the k-th component at every node."""
 
     grid: GridSpec
     data: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != self.grid.counts + (3,):
+        if self.data.shape != (3,) + self.grid.counts:
             raise GridMismatchError(
                 f"field shape {self.data.shape} does not match grid "
-                f"{self.grid.counts + (3,)}"
+                f"{(3,) + self.grid.counts}"
             )
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.counts + (3,)))
+        return cls(grid, np.zeros((3,) + grid.counts))
 
     @classmethod
     def constant(cls, grid, vec):
-        data = np.broadcast_to(np.asarray(vec, dtype=float), grid.counts + (3,))
-        return cls(grid, np.array(data))
+        vec = np.asarray(vec, dtype=float).reshape((3,) + (1,) * grid.dim)
+        return cls(grid, np.array(np.broadcast_to(vec, (3,) + grid.counts)))
 
     @classmethod
     def from_function(cls, grid, fn, t=None):
@@ -135,9 +136,9 @@ class VectorField:
         comps = fn(*coords) if t is None else fn(*coords, t)
         if len(comps) != 3:
             raise GridMismatchError(f"fn returned {len(comps)} components, expected 3")
-        data = np.empty(grid.counts + (3,))
+        data = np.empty((3,) + grid.counts)
         for c, comp in enumerate(comps):
-            data[..., c] = comp
+            data[c] = comp
         return cls(grid, data)
 
     def copy(self):
@@ -145,7 +146,7 @@ class VectorField:
 
     def pointwise_norm(self):
         """|m| at every node, shape ``counts``."""
-        squares = _component_sum(self.data ** 2)
+        squares = np.sum(self.data ** 2, axis=0)
         return np.sqrt(squares, out=squares)
 
 
@@ -165,10 +166,10 @@ class StaggeredGradient:
     def __post_init__(self):
         expected = _face_counts(self.grid)
         for a, arr in enumerate(self.axes):
-            if arr.shape[: self.grid.dim] != expected[a]:
+            if arr.shape[-self.grid.dim:] != expected[a]:
                 raise GridMismatchError(
                     f"axis {a} face array has shape {arr.shape}, expected "
-                    f"leading {expected[a]}"
+                    f"trailing {expected[a]}"
                 )
 
 
@@ -188,8 +189,13 @@ def _check_same_grid(f, g):
 
 
 # ---------------------------------------------------------------------------
-# raw-array stencils (leading axes are the spatial ones, trailing shape free)
+# raw-array stencils (trailing axes are the spatial ones, leading shape free)
 # ---------------------------------------------------------------------------
+
+def _key(grid, axis, s):
+    """Index key taking ``s`` along spatial ``axis``, all of every other axis."""
+    return (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
+
 
 def _faces(grid, values, op):
     """Per axis, the face array op(upper, lower) of the node values on either
@@ -197,28 +203,28 @@ def _faces(grid, values, op):
     no rolled copy of ``values`` is made."""
     faces = []
     for a in range(grid.dim):
-        lead = (slice(None),) * a
-        upper, lower = values[lead + (slice(1, None),)], values[lead + (slice(None, -1),)]
+        key = partial(_key, grid, a)
+        upper, lower = values[key(slice(1, None))], values[key(slice(None, -1))]
         if grid.boundary == NEUMANN:
             faces.append(op(upper, lower))
             continue
         face = np.empty_like(values)
-        op(upper, lower, out=face[lead + (slice(None, -1),)])
-        op(values[lead + (slice(0, 1),)], values[lead + (slice(-1, None),)],
-           out=face[lead + (slice(-1, None),)])
+        op(upper, lower, out=face[key(slice(None, -1))])
+        op(values[key(slice(0, 1))], values[key(slice(-1, None))], out=face[key(slice(-1, None))])
         faces.append(face)
     return faces
 
 
-def _neighbours(grid, axis, n):
-    """(nodes, upper, lower) index keys covering ``axis`` of ``n`` nodes, read
-    in place; at a wall the ghost is m_{-1} = m_1, m_n = m_{n-2} (Neumann)
-    or the node across the wrap (periodic)."""
+def _neighbours(grid, axis):
+    """(nodes, upper, lower) index keys covering spatial ``axis``, read in
+    place; at a wall the ghost is m_{-1} = m_1, m_n = m_{n-2} (Neumann) or
+    the node across the wrap (periodic)."""
+    n = grid.counts[axis]
     lo, hi = (n - 1, 0) if grid.boundary == PERIODIC else (1, n - 2)
     ranges = ((slice(1, -1), slice(2, None), slice(None, -2)),
               (slice(0, 1), slice(1, 2), slice(lo, lo + 1)),
               (slice(n - 1, n), slice(hi, hi + 1), slice(n - 2, n - 1)))
-    return [[(slice(None),) * axis + (s,) for s in keys] for keys in ranges]
+    return [[_key(grid, axis, s) for s in keys] for keys in ranges]
 
 
 def array_gradient(grid, values):
@@ -243,7 +249,7 @@ def array_laplacian(grid, values):
     term = np.empty_like(values)
     for a in range(grid.dim):
         np.multiply(values, 2.0, out=term)
-        for nodes, hi, lo in _neighbours(grid, a, values.shape[a]):
+        for nodes, hi, lo in _neighbours(grid, a):
             t = term[nodes]
             np.subtract(values[hi], t, out=t)
             t += values[lo]
@@ -258,7 +264,7 @@ def array_central_difference(grid, values, axis):
     With ghost reflection the derivative vanishes at Neumann walls.
     """
     out = np.empty_like(values)
-    for nodes, hi, lo in _neighbours(grid, axis, values.shape[axis]):
+    for nodes, hi, lo in _neighbours(grid, axis):
         np.subtract(values[hi], values[lo], out=out[nodes])
     out /= 2 * grid.spacing[axis]
     return out
@@ -321,21 +327,12 @@ def _face_weights(grid):
     )
 
 
-def _component_sum(products):
-    """p[..., 0] + p[..., 1] + p[..., 2] in that order: the bits of np.sum over
-    the trailing length-3 axis (but for the sign of a zero sum), without the
-    per-node cost of that reduction."""
-    total = products[..., 0] + products[..., 1]
-    total += products[..., 2]
-    return total
-
-
 def _weighted_sum(grid, products, weights):
-    """sum(weights * products), the trailing component axis of ``products``,
+    """sum(weights * products), the leading component axis of ``products``,
     if any, contracted first; overwrites ``products``.  On a periodic grid
     the weights are all ones and are not applied."""
     if products.ndim > grid.dim:
-        products = _component_sum(products)
+        products = np.sum(products, axis=0)
     if grid.boundary == NEUMANN:
         products *= weights
     return np.sum(products)
@@ -343,7 +340,7 @@ def _weighted_sum(grid, products, weights):
 
 def node_sum(grid, values):
     """Sum over the nodes of ``values`` (overwritten) with the quadrature
-    weights of the l2 inner product, a trailing component axis, if any,
+    weights of the l2 inner product, a leading component axis, if any,
     contracted first.  Every node integral in the package goes through here,
     so summation by parts stays exact."""
     return _weighted_sum(grid, values, _node_weights(grid))

@@ -3,7 +3,9 @@
 Config files are flat ``key = value`` text with a typed schema; snapshots
 are plain text (one node per line, shortest round-trip decimals) with an
 optional little-endian float64 binary body; CSV time series share a single
-column schema across all experiments.
+column schema across all experiments.  Snapshot bodies hold one row of three
+components per node, so the component planes of a field are transposed on
+the way out and back, and nowhere else.
 """
 
 from __future__ import annotations
@@ -318,7 +320,7 @@ def write_snapshot(f: VectorField, path, time=0.0, step=0, binary=False):
     if binary:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header) + "\n").encode())
-            fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+            fh.write(np.moveaxis(f.data, 0, -1).astype("<f8").tobytes())
         return
     # one row per node in C order: indices, coordinates, then the 3 values.
     # Each axis's labels are rendered once, the trailing axes' joined once per
@@ -327,7 +329,7 @@ def write_snapshot(f: VectorField, path, time=0.0, step=0, binary=False):
               for n, c in zip(grid.counts, grid.axes_coordinates())]
     inner = [(" ".join(i for i, _ in node), " ".join(x for _, x in node))
              for node in itertools.product(*labels[1:])]
-    slabs = f.data.reshape(grid.counts[0], -1, 3)
+    slabs = np.moveaxis(f.data, 0, -1).reshape(grid.counts[0], -1, 3)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
         for (index, coord), slab in zip(labels[0], slabs):
@@ -338,7 +340,8 @@ def write_snapshot(f: VectorField, path, time=0.0, step=0, binary=False):
 def read_snapshot(path):
     """Inverse of write_snapshot; returns (field, time, step).
 
-    Anything but a complete snapshot raises ConfigError naming the file.
+    Anything but a complete snapshot of finite values raises ConfigError
+    naming the file.
     """
     blob = _read_input(path, "rb")
     lines = []
@@ -381,23 +384,25 @@ def read_snapshot(path):
             raise ConfigError(
                 f"{path}: binary snapshot body has {len(body)} bytes, expected {expected}"
             )
-        data = np.frombuffer(body, dtype="<f8").reshape(counts + (3,))
-        return VectorField(grid, data.copy()), time, step
-    body = blob[pos:].decode().strip().splitlines()
-    index, values = [], []
-    for row in body:
-        parts = row.split()
-        try:
-            if len(parts) != 2 * grid.dim + 3:
-                raise ValueError
-            index.append([int(p) for p in parts[:grid.dim]])
-            values.append([float(p) for p in parts[-3:]])
-        except ValueError:
-            raise ConfigError(f"{path}: malformed snapshot row {row!r}") from None
-    if not np.array_equal(index, np.indices(counts).reshape(grid.dim, -1).T):
-        raise ConfigError(f"{path}: snapshot body rows are not the {grid.num_nodes} "
-                          "grid nodes in C order")
-    return VectorField(grid, np.array(values).reshape(counts + (3,))), time, step
+        rows = np.frombuffer(body, dtype="<f8")
+    else:
+        index, values = [], []
+        for row in blob[pos:].decode().strip().splitlines():
+            parts = row.split()
+            try:
+                if len(parts) != 2 * grid.dim + 3:
+                    raise ValueError
+                index.append([int(p) for p in parts[:grid.dim]])
+                values.append([float(p) for p in parts[-3:]])
+            except ValueError:
+                raise ConfigError(f"{path}: malformed snapshot row {row!r}") from None
+        if not np.array_equal(index, np.indices(counts).reshape(grid.dim, -1).T):
+            raise ConfigError(f"{path}: snapshot body rows are not the {grid.num_nodes} "
+                              "grid nodes in C order")
+        rows = np.array(values)
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"{path}: snapshot body holds a non-finite value")
+    return VectorField(grid, np.moveaxis(rows.reshape(counts + (3,)), -1, 0).copy()), time, step
 
 
 # ---------------------------------------------------------------------------

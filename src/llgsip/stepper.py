@@ -14,14 +14,10 @@ and precession, exact for uniform m up to float32 rounding (see
 ``_tangent_plane_preconditioner``, which runs in single precision).
 The module needs NumPy alone.
 
-The step has one layout, component-first planes of shape (3, N0, N1[, N2]):
-m, the right-hand side and the start are moved there once per step and the
-solution is moved back once, so that every cross product of A and every
-transform of the preconditioner runs on contiguous planes; the Laplacian
-alone sees them components last, as a view.  ``run`` starts each solve
-after the first from the extrapolation m^n + (mt^n - m^(n-1)); the first
-starts from m^n.  It also keeps one Krylov workspace for all its solves, so
-that the solver's storage is allocated, and faulted in, once per run.
+``run`` starts each solve after the first from the extrapolation
+m^n + (mt^n - m^(n-1)); the first starts from m^n.  It also keeps one
+Krylov workspace for all its solves, so that the solver's storage is
+allocated, and faulted in, once per run.
 
 Without forcing the intermediate solution satisfies mt . m == 1 and
 |mt| >= 1 at every node (up to solver tolerance), which is what makes the
@@ -94,15 +90,11 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    rel_tol: ClassVar[float] = 1e-12  # fixed: the bounds of INVARIANTS rest on it
-    max_iter: int = 500
-    restart: int = 30
+    """The fixed GMRES settings every solve uses."""
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
+    rel_tol: ClassVar[float] = 1e-12  # the bounds of INVARIANTS rest on it
+    max_iter: ClassVar[int] = 500  # restart cycles
+    restart: ClassVar[int] = 30
 
 
 # The pointwise guarantees of an unforced step from unit m:
@@ -154,8 +146,7 @@ def _cross(a, b, out):
 
 
 def _cross_terms(m, w, beta, gamma):
-    """beta m x w + gamma m x (m x w), pointwise on planes; the result keeps
-    the memory layout of ``w``."""
+    """beta m x w + gamma m x (m x w), pointwise on planes."""
     c1 = _cross(m, w, np.empty_like(w))
     c2 = _cross(m, c1, np.empty_like(w))
     c1 *= beta
@@ -165,42 +156,30 @@ def _cross_terms(m, w, beta, gamma):
 
 
 def _apply_operator(grid, v, m, params):
-    """A(v) on planes, in the memory layout of ``v``: the one definition of A.
-
-    The Laplacian takes its input components last, so it sees ``v`` through
-    a view and its result goes back the same way.  Every operation is
-    elementwise, so any layout of ``v`` gives the same bits.
-    """
-    lap = np.moveaxis(array_laplacian(grid, np.moveaxis(v, 0, -1)), -1, 0)
-    out = _cross_terms(m, lap, params.beta, params.gamma)
+    """A(v) on raw planes: the one definition of A."""
+    out = _cross_terms(m, array_laplacian(grid, v), params.beta, params.gamma)
     out *= params.dt
     out += v
     return out
-
-
-def _planes(data):
-    """Component-last data seen as planes, shape (3, N0, N1[, N2]): a view."""
-    return np.moveaxis(data, -1, 0)
 
 
 def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) -> VectorField:
     """Left-hand operator A(v) = v + dt*[beta m x lap v + gamma m x (m x lap v)]."""
     if v.grid != m_prev.grid:
         raise GridMismatchError("operand and previous state live on different grids")
-    # on views, so the result is laid out components last
-    out = _apply_operator(v.grid, _planes(v.data), _planes(m_prev.data), params)
-    return VectorField(v.grid, np.moveaxis(out, 0, -1))
+    return VectorField(v.grid, _apply_operator(v.grid, v.data, m_prev.data, params))
 
 
-def _build_rhs(m_prev, m, params, t_new):
-    """The right-hand side in planes; ``m`` is m_prev's."""
+def _build_rhs(m_prev, params, t_new):
+    """The right-hand side m - dt*[beta m x H + gamma m x (m x H)] + dt*f."""
+    m = m_prev.data
     rhs = m.copy()
     if params.model.variant != EXCHANGE_ONLY:
-        h_expl = _planes(explicit_field_apply(m_prev, params.model).data)
+        h_expl = explicit_field_apply(m_prev, params.model).data
         rhs -= params.dt * _cross_terms(m, h_expl, params.beta, params.gamma)
     if params.forcing is not None:
         f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new)
-        rhs += params.dt * _planes(f.data)
+        rhs += params.dt * f.data
     return rhs
 
 
@@ -269,8 +248,8 @@ def _tangent_plane_preconditioner(grid, m, params, dtype=np.float32):
     F2 = b/(a^2 + b^2) are diagonal in the tensor product of the per-axis
     eigenbases, so both halves share one forward and one inverse transform.
     With beta = 0, F2 vanishes and only the diffusion half is applied.
-    ``m`` and x are component-first planes, shape (3, N0, N1[, N2]), so each
-    per-axis transform is a matmul.
+    ``m`` and x are planes, shape (3, N0, N1[, N2]), so each per-axis
+    transform is a matmul.
 
     The apply runs in ``dtype`` (float32: single-precision GEMMs) and
     returns float64.  GMRES keeps each direction it returns and decides
@@ -396,7 +375,7 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     """
     grid = m_prev.grid
     grid.require_uniform()
-    m = np.ascontiguousarray(_planes(m_prev.data))
+    m = m_prev.data
     matvecs = 0
 
     def matvec(x):
@@ -408,8 +387,8 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     # rtol is relative to ||rhs||, so a better start does not loosen the solve
     x, residual = gmres(
         matvec,
-        _build_rhs(m_prev, m, params, t_new),
-        m if x0 is None else np.ascontiguousarray(_planes(x0.data)),
+        _build_rhs(m_prev, params, t_new),
+        m if x0 is None else x0.data,
         rtol=cfg.rel_tol,
         restart=cfg.restart,
         max_iter=cfg.max_iter,
@@ -423,7 +402,7 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
             f"(relative residual {residual:.3e})",
             residuals,
         )
-    return VectorField(grid, np.moveaxis(x, 0, -1).copy()), max(matvecs - 1, 0), residual
+    return VectorField(grid, x), max(matvecs - 1, 0), residual
 
 
 def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
@@ -434,7 +413,7 @@ def normalize(m_tilde: VectorField, lengths=None) -> VectorField:
         raise DegenerateStateError(
             "intermediate state has a (numerically) zero-length node"
         )
-    return VectorField(m_tilde.grid, m_tilde.data / lengths[..., None])
+    return VectorField(m_tilde.grid, m_tilde.data / lengths)
 
 
 def _max_distance_from_one(values):
@@ -463,7 +442,7 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
         energy=extended_energy(m_new, params.model),
         max_length_error=_max_distance_from_one(m_new.pointwise_norm()),
         max_orthogonality_error=_max_distance_from_one(
-            np.einsum("...i,...i->...", m_tilde.data, m_prev.data)),
+            np.einsum("i...,i...->...", m_tilde.data, m_prev.data)),
     )
     return m_new, m_tilde, report
 

@@ -10,12 +10,12 @@ def rng():
 
 
 def random_field(grid, rng):
-    return VectorField(grid, rng.standard_normal(grid.counts + (3,)))
+    return VectorField(grid, rng.standard_normal((3,) + grid.counts))
 
 
 def random_unit_field(grid, rng):
-    data = rng.standard_normal(grid.counts + (3,))
-    data /= np.linalg.norm(data, axis=-1, keepdims=True)
+    data = rng.standard_normal((3,) + grid.counts)
+    data /= np.linalg.norm(data, axis=0)
     return VectorField(grid, data)
 
 
@@ -51,7 +51,12 @@ def neighbour(grid, index, axis, step):
     return index[:axis] + (i,) + index[axis + 1:]
 
 
+def at(data, index):
+    """The three components of the planes ``data`` at node ``index``."""
+    return data[(slice(None),) + tuple(index)]
+
+
 def central_difference(grid, data, index, axis):
     """(f at the next node - f at the previous node) / 2h along ``axis``."""
-    upper, lower = (data[neighbour(grid, index, axis, s)] for s in (1, -1))
+    upper, lower = (at(data, neighbour(grid, index, axis, s)) for s in (1, -1))
     return (upper - lower) / (2 * grid.spacing[axis])

@@ -21,7 +21,7 @@ from llgsip.experiments import (
     format_error_table,
 )
 from llgsip.grid import NEUMANN, GridSpec, VectorField
-from llgsip.io import parse_config, read_checkpoint, write_snapshot
+from llgsip.io import parse_config, read_checkpoint, write_checkpoint, write_snapshot
 from llgsip.stepper import RunResult, StepReport
 
 
@@ -182,6 +182,33 @@ def test_input_errors_exit_with_config_error(tmp_path, capsys, extra, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("source", ["input_state", "resume"])
+def test_non_finite_start_state_exits_with_config_error(tmp_path, capsys, source):
+    # a NaN node would reach the solver, which spends its whole iteration
+    # budget before it fails; the file is rejected before the run starts
+    out = tmp_path / "o"
+    cfg = skyrmion_cfg(tmp_path, out)
+    config = parse_config(cfg)
+    state = VectorField.constant(config.make_grid(), (0.0, 0.0, 1.0))
+    state.data[0, 3, 4] = np.nan
+    if source == "input_state":
+        path = tmp_path / "seed.txt"
+        write_snapshot(state, str(path))
+        extra = ["--override", "mode=Q0", "--override", f"input_state={path}"]
+    else:
+        params = stepper.SchemeParams(beta=config.beta, gamma=config.gamma,
+                                      dt=config.time_steps(config.make_grid())[0],
+                                      model=FieldModel.extended(config.kappa, config.lam))
+        path = tmp_path / "last.ckpt"
+        write_checkpoint(state, str(path), 0.1, 2, params)
+        extra = ["--resume", str(path)]
+    code = main(["skyrmion", "--config", cfg] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {path}") and "non-finite" in err
+    assert not out.exists()
 
 
 def test_output_errors_are_not_config_errors(tmp_path):

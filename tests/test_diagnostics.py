@@ -25,7 +25,7 @@ from llgsip.grid import (
 )
 from llgsip.stepper import SchemeParams, SolverConfig, StepReport, run
 
-from conftest import central_difference, node_weight, random_unit_field
+from conftest import at, central_difference, node_weight, random_unit_field
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_error_norms_scale_linearly(rng):
     # perturbing the history by s * delta scales both norms by s exactly
     grid = GridSpec((6, 6), (0.5, 0.5))
     exact = constant_exact()
-    delta = rng.standard_normal(grid.counts + (3,))
+    delta = rng.standard_normal((3,) + grid.counts)
     times = [0.0, 0.1]
 
     def record(s):
@@ -139,7 +139,7 @@ def test_skyrmion_number_matches_per_node_loop(boundary, rng):
     total = scale = 0.0
     for i in np.ndindex(grid.counts):
         d1, d2 = (central_difference(grid, m.data, i, axis) for axis in (0, 1))
-        term = node_weight(grid, i) * np.dot(m.data[i], np.cross(d2, d1))
+        term = node_weight(grid, i) * np.dot(at(m.data, i), np.cross(d2, d1))
         total += term
         scale += abs(term)
     factor = grid.cell_volume / (4 * np.pi)
@@ -164,15 +164,15 @@ def test_skyrmion_seed_has_unit_charge():
 
 def test_skyrmion_number_reflection_negates():
     m = seed_field(n=128)
-    flipped = VectorField(m.grid, m.data * np.array([1.0, 1.0, -1.0]))
+    flipped = VectorField(m.grid, m.data * np.array([1.0, 1.0, -1.0])[:, None, None])
     assert skyrmion_number(flipped) == pytest.approx(-skyrmion_number(m), abs=1e-12)
 
 
 def test_skyrmion_number_rotation_invariant():
     # rotate the lattice a quarter turn and the in-plane components with it
     m = seed_field(n=128)
-    rot = np.rot90(m.data, axes=(0, 1)).copy()
-    rot[..., 0], rot[..., 1] = -rot[..., 1].copy(), rot[..., 0].copy()
+    rot = np.rot90(m.data, axes=(1, 2)).copy()
+    rot[0], rot[1] = -rot[1].copy(), rot[0].copy()
     rotated = VectorField(m.grid, rot)
     assert skyrmion_number(rotated) == pytest.approx(skyrmion_number(m), abs=1e-12)
 
@@ -226,7 +226,7 @@ def test_gradient_reduction_check_detects_injected_fault():
         if report.step_index == 3:
             # a node turned away from its neighbours steepens four faces
             m_new = VectorField(m_new.grid, m_new.data.copy())
-            m_new.data[2, 3] = -m_new.data[2, 3]
+            m_new.data[:, 2, 3] = -m_new.data[:, 2, 3]
         gradient(report, m_prev, m_tilde, m_new)
 
     dissipation_run(faulty, steps=4)

@@ -15,7 +15,7 @@ from llgsip.effective_field import (
 from llgsip.exact import blowup_initial
 from llgsip.grid import NEUMANN, PERIODIC, GridSpec, VectorField
 
-from conftest import central_difference, node_weight, random_unit_field
+from conftest import at, central_difference, node_weight, random_unit_field
 
 
 def test_uniform_state_gives_pure_anisotropy_field():
@@ -23,7 +23,8 @@ def test_uniform_state_gives_pure_anisotropy_field():
     m = VectorField.constant(grid, (0.0, 0.0, 1.0))
     model = FieldModel.extended(kappa=3.0, lam=1)
     h = explicit_field_apply(m, model)
-    assert np.allclose(h.data, [0.0, 0.0, 3.0], atol=1e-15, rtol=0)
+    assert np.allclose(h.data, VectorField.constant(grid, (0.0, 0.0, 3.0)).data,
+                       atol=1e-15, rtol=0)
 
 
 def test_exchange_only_field_is_zero(rng):
@@ -51,11 +52,11 @@ def test_dmi_field_matches_naive_central_differences(rng):
             random_unit_field(grid, rng),
         ):
             field = explicit_field_apply(m, model)
-            m1, m2, m3 = m.data[..., 0], m.data[..., 1], m.data[..., 2]
+            m1, m2, m3 = m.data
             expected = np.zeros_like(m.data)
-            expected[..., 0] = -2 * dc(m3, 1)
-            expected[..., 1] = 2 * dc(m3, 0)
-            expected[..., 2] = -2 * (dc(m2, 0) - dc(m1, 1))
+            expected[0] = -2 * dc(m3, 1)
+            expected[1] = 2 * dc(m3, 0)
+            expected[2] = -2 * (dc(m2, 0) - dc(m1, 1))
             assert np.max(np.abs(field.data - expected)) <= 1e-13
 
 
@@ -106,7 +107,7 @@ def test_extended_energy_matches_quadrature_oracle():
 
     nx, ny = grid.counts
     h = grid.spacing[0]
-    d = m.data
+    d = np.moveaxis(m.data, 0, -1)  # d[i, j] the three components at node (i, j)
     exch = 0.0
     for i in range(nx):
         for j in range(ny):
@@ -139,8 +140,9 @@ def test_dmi_and_anisotropy_energies_match_per_node_loop(boundary, rng):
     for i in np.ndindex(grid.counts):
         w = node_weight(grid, i)
         d1, d2 = (central_difference(grid, d, i, axis) for axis in (0, 1))
-        aniso += w * (d[i][0] ** 2 + d[i][1] ** 2)
-        term = w * (d[i][0] * d2[2] - d[i][1] * d1[2] + d[i][2] * (d1[1] - d2[0]))
+        v = at(d, i)
+        aniso += w * (v[0] ** 2 + v[1] ** 2)
+        term = w * (v[0] * d2[2] - v[1] * d1[2] + v[2] * (d1[1] - d2[0]))
         dmi += term
         dmi_scale += abs(term)
     vol = grid.cell_volume
@@ -153,9 +155,9 @@ def test_translation_equivariance(rng):
     grid = GridSpec((12, 10), (0.3, 0.3))
     m = random_unit_field(grid, rng)
     model = FieldModel.extended(kappa=2.0, lam=1)
-    shifted = VectorField(grid, np.roll(m.data, (3, 4), axis=(0, 1)))
+    shifted = VectorField(grid, np.roll(m.data, (3, 4), axis=(1, 2)))
     a = explicit_field_apply(shifted, model).data
-    b = np.roll(explicit_field_apply(m, model).data, (3, 4), axis=(0, 1))
+    b = np.roll(explicit_field_apply(m, model).data, (3, 4), axis=(1, 2))
     assert np.max(np.abs(a - b)) <= 1e-15
 
 
@@ -168,7 +170,7 @@ def test_chirality_flip_negates_dmi_only(rng):
     f_plus = explicit_field_apply(m, plus).data
     f_minus = explicit_field_apply(m, minus).data
     aniso = np.zeros_like(f_plus)
-    aniso[..., 2] = 2.0 * m.data[..., 2]
+    aniso[2] = 2.0 * m.data[2]
     assert np.max(np.abs((f_plus - aniso) + (f_minus - aniso))) <= 1e-13
     assert extended_energy(m, plus) - dmi_energy(m, 1) == pytest.approx(
         extended_energy(m, minus) - dmi_energy(m, -1), rel=1e-13

@@ -43,6 +43,8 @@ from conftest import node_weight, random_field, random_unit_field, small_grids
 # ---------------------------------------------------------------------------
 
 def naive_gradient_2d(grid, data):
+    """Per-axis face arrays of the planes ``data``, as planes."""
+    data = np.moveaxis(data, 0, -1)
     nx, ny = grid.counts
     hx, hy = grid.spacing
     if grid.boundary == PERIODIC:
@@ -61,10 +63,12 @@ def naive_gradient_2d(grid, data):
         for i in range(nx):
             for j in range(ny - 1):
                 gy[i, j] = (data[i, j + 1] - data[i, j]) / hy
-    return gx, gy
+    return np.moveaxis(gx, -1, 0), np.moveaxis(gy, -1, 0)
 
 
 def naive_laplacian_2d(grid, data):
+    """The Laplacian of the planes ``data``, as planes."""
+    data = np.moveaxis(data, 0, -1)
     nx, ny = grid.counts
     hx, hy = grid.spacing
     out = np.zeros_like(data)
@@ -80,7 +84,7 @@ def naive_laplacian_2d(grid, data):
         for j in range(ny):
             out[i, j] = (node(i + 1, j) - 2 * data[i, j] + node(i - 1, j)) / hx ** 2
             out[i, j] += (node(i, j + 1) - 2 * data[i, j] + node(i, j - 1)) / hy ** 2
-    return out
+    return np.moveaxis(out, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +108,7 @@ def test_gradient_sine_matches_direct_stencil():
     g = gradient_apply(f)
     for i in range(n):
         expected = (np.sin(x[(i + 1) % n]) - np.sin(x[i])) / h
-        assert g.axes[0][i, :, 0] == pytest.approx(expected, abs=1e-14)
+        assert g.axes[0][0, i, :] == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
@@ -118,10 +122,11 @@ def test_gradient_matches_naive_loop(boundary, rng):
 
 
 def test_gradient_grid_mismatch():
-    g1 = GridSpec((4, 4), (0.5, 0.5))
-    bad = np.zeros((4, 5, 3))
-    with pytest.raises(GridMismatchError):
-        VectorField(g1, bad)
+    g1 = GridSpec((4, 5), (0.5, 0.5))
+    # a wrong grid, and the right grid with its components last
+    for bad in (np.zeros((3, 4, 4)), np.zeros((4, 5, 3))):
+        with pytest.raises(GridMismatchError):
+            VectorField(g1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +137,14 @@ def test_midpoint_constant():
     grid = GridSpec((5, 5), (0.2, 0.2), boundary=NEUMANN)
     mid = interpolate_midpoint(VectorField.constant(grid, (1.0, 2.0, 3.0)))
     for axis in mid.axes:
-        assert np.allclose(axis, [1.0, 2.0, 3.0], atol=0, rtol=0)
+        assert np.array_equal(axis, np.broadcast_to([[[1.0]], [[2.0]], [[3.0]]], axis.shape))
 
 
 def test_midpoint_two_point_mean(rng):
     grid = GridSpec((2, 2), (1.0, 1.0), boundary=NEUMANN)
     f = random_field(grid, rng)
     mid = interpolate_midpoint(f)
-    assert np.allclose(mid.axes[0][0, 0], 0.5 * (f.data[0, 0] + f.data[1, 0]))
+    assert np.allclose(mid.axes[0][:, 0, 0], 0.5 * (f.data[:, 0, 0] + f.data[:, 1, 0]))
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
@@ -150,7 +155,7 @@ def test_unit_field_midpoint_orthogonal_to_gradient(boundary, rng):
         g = gradient_apply(m)
         mid = interpolate_midpoint(m)
         for ga, ma in zip(g.axes, mid.axes):
-            dots = np.sum(ga * ma, axis=-1)
+            dots = np.sum(ga * ma, axis=0)
             assert np.max(np.abs(dots)) <= 1e-13
 
 
@@ -189,15 +194,15 @@ def test_laplacian_matches_naive_loop(boundary, rng):
 def test_laplacian_periodic_shift_equivariance(rng):
     grid = GridSpec((6, 6), (0.5, 0.5))
     f = random_field(grid, rng)
-    shifted = VectorField(grid, np.roll(f.data, (2, 3), axis=(0, 1)))
+    shifted = VectorField(grid, np.roll(f.data, (2, 3), axis=(1, 2)))
     a = laplacian_apply(shifted).data
-    b = np.roll(laplacian_apply(f).data, (2, 3), axis=(0, 1))
+    b = np.roll(laplacian_apply(f).data, (2, 3), axis=(1, 2))
     assert np.array_equal(a, b)
 
 
 def padded_reference(grid, values, axis):
-    """(values, upper, lower) neighbour arrays along ``axis`` from an explicit
-    ghost layer: np.pad reflection (m_{-1} = m_1) or periodic wrap."""
+    """(values, upper, lower) neighbour arrays along array ``axis`` from an
+    explicit ghost layer: np.pad reflection (m_{-1} = m_1) or periodic wrap."""
     pad = [(0, 0)] * values.ndim
     pad[axis] = (1, 1)
     mode = "reflect" if grid.boundary == NEUMANN else "wrap"
@@ -215,16 +220,16 @@ STENCIL_GRIDS = [
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
-@pytest.mark.parametrize("trailing", [(), (3,)])
-def test_node_stencils_equal_padded_reference(boundary, trailing, rng):
+@pytest.mark.parametrize("leading", [(), (3,)])
+def test_node_stencils_equal_padded_reference(boundary, leading, rng):
     # the in-place neighbour reads give the padded stencils' bits: the same
     # terms in the same order, ((f_{i+1} - 2 f_i) + f_{i-1}) / h^2 per axis
     for spec in STENCIL_GRIDS:
         grid = GridSpec(spec.counts, spec.spacing, boundary=boundary)
-        values = rng.standard_normal(grid.counts + trailing)
+        values = rng.standard_normal(leading + grid.counts)
         lap = np.zeros_like(values)
         for a in range(grid.dim):
-            mid, hi, lo = padded_reference(grid, values, a)
+            mid, hi, lo = padded_reference(grid, values, len(leading) + a)
             lap += (hi - 2.0 * mid + lo) / grid.spacing[a] ** 2
             central = (hi - lo) / (2 * grid.spacing[a])
             assert np.array_equal(array_central_difference(grid, values, a), central)
@@ -235,13 +240,13 @@ def test_node_stencils_equal_padded_reference(boundary, trailing, rng):
 def test_face_stencils_equal_shifted_reference(boundary, rng):
     for spec in STENCIL_GRIDS:
         grid = GridSpec(spec.counts, spec.spacing, boundary=boundary)
-        values = rng.standard_normal(grid.counts + (3,))
+        values = rng.standard_normal((3,) + grid.counts)
         grads, mids = array_gradient(grid, values), array_midpoint(grid, values)
         for a in range(grid.dim):
-            hi, lo = np.roll(values, -1, axis=a), values
+            hi, lo = np.roll(values, -1, axis=1 + a), values
             if boundary == NEUMANN:  # interior faces only
                 keep = np.arange(grid.counts[a] - 1)
-                hi, lo = hi.take(keep, axis=a), lo.take(keep, axis=a)
+                hi, lo = hi.take(keep, axis=1 + a), lo.take(keep, axis=1 + a)
             assert np.array_equal(grads[a], (hi - lo) / grid.spacing[a])
             assert np.array_equal(mids[a], 0.5 * (hi + lo))
 
@@ -269,13 +274,13 @@ def test_product_rule(boundary, rng):
     for grid in small_grids(boundary):
         f = random_field(grid, rng)
         g = random_field(grid, rng)
-        dot = np.sum(f.data * g.data, axis=-1)
+        dot = np.sum(f.data * g.data, axis=0)
         lhs = array_gradient(grid, dot)
         gf, gg = gradient_apply(f), gradient_apply(g)
         mf, mg = interpolate_midpoint(f), interpolate_midpoint(g)
         for a in range(grid.dim):
-            rhs = np.sum(gf.axes[a] * mg.axes[a], axis=-1) + np.sum(
-                mf.axes[a] * gg.axes[a], axis=-1
+            rhs = np.sum(gf.axes[a] * mg.axes[a], axis=0) + np.sum(
+                mf.axes[a] * gg.axes[a], axis=0
             )
             assert np.max(np.abs(lhs[a] - rhs)) <= 1e-13
 
@@ -298,7 +303,7 @@ def test_inner_product_hand_value():
     # single node carrying (1, 2, 2) with h = 0.5 in 2D: 0.25 * 9 = 2.25
     grid = GridSpec((2, 2), (0.5, 0.5))
     f = VectorField.zeros(grid)
-    f.data[0, 0] = (1.0, 2.0, 2.0)
+    f.data[:, 0, 0] = (1.0, 2.0, 2.0)
     assert inner_product(f, f) == pytest.approx(2.25, abs=1e-15)
 
 
@@ -350,13 +355,18 @@ def test_discrete_interpolation_inequality(rng):
 
 
 # ---------------------------------------------------------------------------
-# component sums against reductions over the component axis, bit for bit
+# component sums against reductions over per-node rows, bit for bit
 # ---------------------------------------------------------------------------
+
+def rows(planes):
+    """The planes of a field or face array as per-node rows, components last."""
+    return np.moveaxis(planes, 0, -1)
+
 
 def reduced_inner_product(f, g):
     grid = f.grid
     w = np.reshape([node_weight(grid, i) for i in np.ndindex(grid.counts)], grid.counts)
-    return float(grid.cell_volume * np.sum(w * np.sum(f.data * g.data, axis=-1)))
+    return float(grid.cell_volume * np.sum(w * np.sum(rows(f.data * g.data), axis=-1)))
 
 
 def reduced_gradient_inner_product(F, G):
@@ -364,8 +374,8 @@ def reduced_gradient_inner_product(F, G):
     total = 0.0
     for a in range(grid.dim):
         prod = F.axes[a] * G.axes[a]
-        while prod.ndim > grid.dim:
-            prod = prod.sum(axis=-1)
+        if prod.ndim > grid.dim:
+            prod = rows(prod).sum(axis=-1)
         total += np.sum(_face_weights(grid)[a] * prod)
     return float(grid.cell_volume * total)
 
@@ -384,13 +394,14 @@ def test_norms_equal_length_3_reductions(boundary, rng):
     for grid in grids:
         for f, g in ((random_field(grid, rng), random_field(grid, rng)),
                      (random_unit_field(grid, rng), random_unit_field(grid, rng))):
-            f.data *= np.exp(rng.uniform(-20.0, 20.0, grid.counts))[..., None]
-            assert np.array_equal(f.pointwise_norm(), np.sqrt(np.sum(f.data ** 2, axis=-1)))
+            f.data *= np.exp(rng.uniform(-20.0, 20.0, grid.counts))
+            assert np.array_equal(f.pointwise_norm(),
+                                  np.sqrt(np.sum(rows(f.data) ** 2, axis=-1)))
             assert inner_product(f, g) == reduced_inner_product(f, g)
             assert l2_norm(f) == float(np.sqrt(max(reduced_inner_product(f, f), 0.0)))
             F, G = gradient_apply(f), gradient_apply(g)
             assert gradient_inner_product(F, G) == reduced_gradient_inner_product(F, G)
-            scalar = [StaggeredGradient(grid, tuple(x[..., 1] for x in H.axes))
+            scalar = [StaggeredGradient(grid, tuple(x[1] for x in H.axes))
                       for H in (F, G)]
             assert (gradient_inner_product(*scalar)
                     == reduced_gradient_inner_product(*scalar))
@@ -405,7 +416,7 @@ def test_norms_equal_length_3_reductions(boundary, rng):
 def sampled_on_meshgrid(grid, fn, t=None):
     coords = grid.meshgrid()
     comps = fn(*coords) if t is None else fn(*coords, t)
-    data = np.stack([np.broadcast_to(c, grid.counts) for c in comps], axis=-1)
+    data = np.stack([np.broadcast_to(c, grid.counts) for c in comps])
     return np.array(data, dtype=float)
 
 

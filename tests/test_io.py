@@ -26,9 +26,10 @@ from llgsip.io import (
 from llgsip.grid import GridSpec, VectorField
 from llgsip.stepper import SchemeParams, StepReport
 
-from conftest import random_unit_field
+from conftest import at, random_unit_field
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 BASE_CONFIG = """\
 # dissipation sweep
@@ -297,7 +298,7 @@ def reference_snapshot_body(f):
     for idx in np.ndindex(*f.grid.counts):
         pieces = [str(i) for i in idx]
         pieces += [repr(float(c[idx])) for c in coords]
-        pieces += [repr(float(v)) for v in f.data[idx]]
+        pieces += [repr(float(v)) for v in at(f.data, idx)]
         lines.append(" ".join(pieces) + "\n")
     return "".join(lines)
 
@@ -319,7 +320,7 @@ def chunked_snapshot_body(f):
     coordinates, joining each row's str and repr pieces."""
     grid = f.grid
     coords = [c.ravel() for c in grid.meshgrid()]
-    values = f.data.reshape(-1, 3)
+    values = np.moveaxis(f.data, 0, -1).reshape(-1, 3)
     rows = []
     for lo in range(0, grid.num_nodes, 256):
         hi = min(lo + 256, grid.num_nodes)
@@ -334,7 +335,7 @@ def chunked_snapshot_body(f):
 def test_snapshot_bytes_equal_chunked_writer(tmp_path, rng, counts):
     grid = GridSpec(counts, (0.1, 1e-7, 3.0)[:len(counts)],
                     origin=(-2.5, 1e-300, -7.0)[:len(counts)], boundary="neumann")
-    values = rng.standard_normal(grid.counts + (3,))
+    values = rng.standard_normal((3,) + grid.counts)
     values.flat[::5] *= 1e-310  # subnormal
     values.flat[1::5] = np.round(values.flat[1::5] * 10)  # integral, zeros among them
     values.flat[2::7] = -0.0
@@ -347,15 +348,15 @@ def test_snapshot_bytes_equal_chunked_writer(tmp_path, rng, counts):
 
 
 def test_snapshot_rejects_rows_off_the_node_list(tmp_path, rng):
-    grid = GridSpec((3, 3), (0.5, 0.5))
+    grid = GridSpec((4, 3), (0.5, 0.5))
     path = tmp_path / "snap.txt"
     write_snapshot(random_unit_field(grid, rng), path)
     lines = path.read_text().splitlines(keepends=True)
-    head, rows = lines[:-9], lines[-9:]
+    head, rows = lines[:-12], lines[-12:]
     for body in (
-        rows[:8] + rows[:1],  # node (0, 0) twice, node (2, 2) missing
-        rows[:8] + ["-1 -1 " + rows[8].split(" ", 2)[2]],  # (2, 2) as (-1, -1)
-        rows[:8] + ["2 2 " + rows[8]],  # a row with extra columns
+        rows[:11] + rows[:1],  # node (0, 0) twice, node (3, 2) missing
+        rows[:11] + ["-1 -1 " + rows[11].split(" ", 2)[2]],  # (3, 2) as (-1, -1)
+        rows[:11] + ["3 2 " + rows[11]],  # a row with extra columns
     ):
         path.write_text("".join(head + body))
         with pytest.raises(ConfigError, match="snap.txt"):
@@ -377,6 +378,65 @@ def test_snapshot_rejects_truncated_body(tmp_path, rng, binary):
         path.write_bytes(cut)
         with pytest.raises(ConfigError, match="bytes" if binary else "rows"):
             read_snapshot(path)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_snapshot_rejects_non_finite_values(tmp_path, rng, binary, value):
+    # a state that is not finite cannot start or resume a run
+    f = random_unit_field(GridSpec((4, 5), (0.5, 0.5)), rng)
+    f.data[1, 2, 3] = value
+    path = tmp_path / "snap.dat"
+    write_snapshot(f, path, binary=binary)
+    with pytest.raises(ConfigError, match="snap.dat: .*non-finite"):
+        read_snapshot(path)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.01)
+    write_checkpoint(f, tmp_path / "ck", time=0.0, step=0, params=params)
+    with pytest.raises(ConfigError, match="ck.state: .*non-finite"):
+        read_checkpoint(tmp_path / "ck", params=params)
+
+
+# files written before fields were stored as component planes: one row of
+# three components per node, component c of node (i, j) being
+# (-1)^c (100 c + 10 i + j) / 7
+FORMAT_FILES = [
+    ("snapshot_4x3_neumann.txt", GridSpec((4, 3), (2 / 3, 0.5), origin=(-1.0, 0.0),
+                                          boundary="neumann"), 0.125, 5),
+    ("snapshot_4x3_periodic.bin", GridSpec((4, 3), (0.25, 1 / 3), origin=(0.5, -0.25)),
+     1.5, 12),
+]
+
+
+def format_planes():
+    c, i, j = np.indices((3, 4, 3))
+    return (100 * c + 10 * i + j) / 7 * (-1.0) ** c
+
+
+@pytest.mark.parametrize("name, grid, time, step", FORMAT_FILES,
+                         ids=[name for name, *_ in FORMAT_FILES])
+def test_snapshots_of_earlier_releases_read_and_rewrite_unchanged(tmp_path, name, grid,
+                                                                   time, step):
+    path = DATA_DIR / name
+    f, t, k = read_snapshot(path)
+    assert f.grid == grid and (t, k) == (time, step)
+    assert f.data.shape == (3, 4, 3) and f.data.flags.c_contiguous
+    assert np.array_equal(f.data, format_planes())
+    again = tmp_path / name
+    write_snapshot(f, again, time=t, step=k, binary=name.endswith(".bin"))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_of_an_earlier_release_resumes_unchanged(tmp_path):
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.01)
+    path = DATA_DIR / "checkpoint_4x3.ckpt"
+    f, time, step = read_checkpoint(path, params=params)
+    assert f.grid == FORMAT_FILES[1][1] and (time, step) == (0.3, 30)
+    assert np.array_equal(f.data, format_planes())
+    again = tmp_path / path.name
+    write_checkpoint(f, again, time=time, step=step, params=params)
+    for suffix in ("", ".state"):
+        assert (Path(f"{again}{suffix}").read_bytes()
+                == Path(f"{path}{suffix}").read_bytes())
 
 
 # ---------------------------------------------------------------------------
