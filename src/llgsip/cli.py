@@ -63,7 +63,7 @@ def main(argv=None):
     cmd = globals()[f"cmd_{args.command}"]
     kwargs = {"resume": args.resume} if args.command == "skyrmion" else {}
     try:
-        config = parse_config(args.config, overrides=args.override)
+        config = parse_config(args.config, overrides=args.override, **kwargs)
         if config.experiment != args.command:
             print(
                 f"config describes experiment {config.experiment!r}, "

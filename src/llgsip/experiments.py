@@ -258,6 +258,13 @@ class SkyrmionResult:
         return self.steady and not self.violations
 
 
+def _require_grid(state, grid, path):
+    """A start state read from ``path`` must lie on the run's grid."""
+    if state.grid != grid:
+        raise ConfigError(f"{path}: the state lies on {state.grid}, not on the "
+                          f"configured {grid}")
+
+
 def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     """Relax a topological seed to a static texture under the extended model."""
     grid = config.make_grid()
@@ -269,10 +276,12 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     start_index = 0
     if resume is not None:
         initial, t_start, start_index = read_checkpoint(resume, params)
+        _require_grid(initial, grid, resume)
     elif config.mode == "Q0":
         if config.input_state is None:
             raise ConfigError("Q0 mode requires key 'input_state', a relaxed Q1 snapshot")
         n_state, _, _ = read_snapshot(config.input_state)
+        _require_grid(n_state, grid, config.input_state)
         initial = VectorField(grid, exact_data.charge_zero_transform(n_state.data))
     else:
         center = tuple(0.5 * (lo + hi) for lo, hi in config.domain)

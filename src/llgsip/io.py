@@ -49,9 +49,12 @@ _RUN_KEYS = {
     "skyrmion": ("gamma", "kappa", "lam", "steady_tol", "max_steps", "mode",
                  "seed_radius", "input_state", "cadence", "snapshot_format"),
 }
-# key -> (key, value): the key is read only when that key has that value
-_READ_WHEN = {"dt": ("dt_policy", "fixed"), "seed_radius": ("mode", "Q1"),
-              "input_state": ("mode", "Q0")}
+# key -> {key: value}: the key is read only when each of those keys has its
+# value; 'resume' is the checkpoint a run resumes from, whose state replaces
+# the seed
+_READ_WHEN = {"dt": {"dt_policy": "fixed"},
+              "seed_radius": {"mode": "Q1", "resume": None},
+              "input_state": {"mode": "Q0", "resume": None}}
 EXPERIMENTS = tuple(_RUN_KEYS)
 DT_POLICIES = ("fixed", "h_squared", "h_linear")
 
@@ -190,11 +193,21 @@ def _read_input(path, mode):
         raise ConfigError(f"{path}: cannot read input file: {exc.strerror}") from None
 
 
-def keys_read(config):
-    """The config keys a run of ``config`` reads; the parser accepts no other."""
+def _unmet(config, resume, key):
+    """The first (key, value) of the run that ``_READ_WHEN[key]`` does not
+    allow, or None if the run reads ``key`` when it is one of its keys."""
+    setting = dict(vars(config), resume=resume)
+    for selector, wanted in _READ_WHEN.get(key, {}).items():
+        if setting[selector] != wanted:
+            return selector, setting[selector]
+    return None
+
+
+def keys_read(config, resume=None):
+    """The config keys a run of ``config`` reads, resumed from the checkpoint
+    ``resume`` if given; the parser accepts no other."""
     return {key for key in _COMMON_KEYS + _RUN_KEYS[config.experiment]
-            if key not in _READ_WHEN
-            or getattr(config, _READ_WHEN[key][0]) == _READ_WHEN[key][1]}
+            if _unmet(config, resume, key) is None}
 
 
 def _convert(key, conv, text, where):
@@ -204,8 +217,9 @@ def _convert(key, conv, text, where):
         raise ConfigError(f"{where}: key '{key}': {exc}") from None
 
 
-def parse_config(path, overrides=()) -> ExperimentConfig:
-    """Parse a flat key-value config file, applying ``key=value`` overrides."""
+def parse_config(path, overrides=(), resume=None) -> ExperimentConfig:
+    """Parse a flat key-value config file, applying ``key=value`` overrides,
+    for a run resumed from the checkpoint ``resume`` if given."""
     raw = {}  # key -> (value text, where it was set)
     for line_no, line in enumerate(_read_input(path, "r").split("\n"), 1):
         text = line.strip()
@@ -220,10 +234,10 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
             raise ConfigError(f"override {ov!r} is not of the form key=value")
         key, value = (part.strip() for part in ov.split("=", 1))
         raw[key] = (value, f"override {ov!r}")
-    return _build_config(raw)
+    return _build_config(raw, resume)
 
 
-def _build_config(raw):
+def _build_config(raw, resume):
     for key in ("experiment", "domain", "grid"):
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
@@ -239,13 +253,12 @@ def _build_config(raw):
         values = value if isinstance(value, tuple) else () if value is None else (value,)
         if value == () or not all(map(test, values)):
             raise ConfigError(f"{raw[key][1]}: key '{key}': must be {phrase}, got {value!r}")
-    read = keys_read(cfg)
+    read = keys_read(cfg, resume)
     for key, (_, where) in raw.items():
         if key not in read:
             setting = ""
             if key in _COMMON_KEYS + _RUN_KEYS[cfg.experiment]:  # read under another
-                selector = _READ_WHEN[key][0]
-                setting = f" with {selector} = {getattr(cfg, selector)}"
+                setting = " with %s = %s" % _unmet(cfg, resume, key)
             raise ConfigError(f"{where}: key '{key}' is not read by a "
                               f"{cfg.experiment} run{setting}")
 

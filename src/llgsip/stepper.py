@@ -14,10 +14,13 @@ and precession, exact for uniform m up to float32 rounding (see
 ``_tangent_plane_preconditioner``, which runs in single precision).
 The module needs NumPy alone.
 
-``run`` starts each solve after the first from the extrapolation
-m^n + (mt^n - m^(n-1)); the first starts from m^n.  It also keeps one
-Krylov workspace for all its solves, so that the solver's storage is
-allocated, and faulted in, once per run.
+``run`` starts each solve from a polynomial extrapolation of the last
+increments d^j = mt^j - m^(j-1): the first from m^n, the second from
+m^n + d^n, the third from m^n + 2d^n - d^(n-1), and every later one from
+the cubic start m^n + 3(d^n - d^(n-1)) + d^(n-2) (``_extrapolated_start``).
+It also keeps one Krylov workspace, the last three increments and the
+start for all its solves, so that this storage is allocated, and faulted
+in, once per run.
 
 Without forcing the intermediate solution satisfies mt . m == 1 and
 |mt| >= 1 at every node (up to solver tolerance), which is what makes the
@@ -466,6 +469,25 @@ class RunResult:
     steady: bool = False
 
 
+def _extrapolated_start(history, k, m_new, out):
+    """Write the start of solve k + 1 into ``out`` and return it: m^n plus
+    the polynomial through the last min(k, 3) increments d^j = mt^j - m^(j-1)
+    taken one step ahead, so the start is exact where d^j is a polynomial of
+    degree min(k, 3) - 1 in j.  ``history`` holds d^j at row j % 3, d^k the
+    newest, and ``m_new`` is m^n, the state solve k + 1 starts from."""
+    newest, older, oldest = history[k % 3], history[(k - 1) % 3], history[(k - 2) % 3]
+    if k == 1:
+        return np.add(m_new, newest, out=out)
+    np.subtract(newest, older, out=out)
+    if k == 2:
+        out += newest  # 2 d^n - d^(n-1)
+    else:
+        out *= 3.0
+        out += oldest  # 3 (d^n - d^(n-1)) + d^(n-2)
+    out += m_new
+    return out
+
+
 def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: int,
         callbacks=(), steady_tol=None, t_start=0.0, start_index=0,
         override_unit_check=False):
@@ -476,20 +498,29 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
     every step, and are the one way to see its report: the result keeps the
     last state, time and step number.  With ``steady_tol`` set, the loop
     exits early once ||m^n - m^(n-1)||_2 / dt drops below it.  The first
-    step starts its solve from the initial state, every later one from the
-    extrapolation m^n + (mt^n - m^(n-1)) of the step before.  All solves
-    share one ``krylov_workspace``, allocated here.
+    solve of a call starts from the initial state m^n, the second from the
+    linear extrapolation m^n + (mt^n - m^(n-1)), the third from the
+    quadratic and every later one from the cubic ``_extrapolated_start`` of
+    this call's increments mt - m_prev.  All solves share one
+    ``krylov_workspace``, one ring of the last three increments and one
+    start buffer, allocated here.
     """
     state, _ = ingest_initial(initial, override=override_unit_check)
     time, index = t_start, start_index
     if n_steps > 0 and params.dt == 0:
         raise ValueError("time loop needs a positive dt")
     steady = False
-    guess = None
-    work = krylov_workspace((3,) + state.grid.counts, cfg.restart)
+    shape = (3,) + state.grid.counts
+    work = krylov_workspace(shape, cfg.restart)
+    history = np.empty((3,) + shape)  # increment j at row j % 3
+    start = np.empty(shape)
     for k in range(1, n_steps + 1):
         t_new = t_start + k * params.dt
         m_prev = state
+        guess = None
+        if k > 1:
+            guess = VectorField(state.grid, _extrapolated_start(history, k - 1, state.data,
+                                                                start))
         m_new, m_tilde, report = step(
             m_prev, params, cfg, t_new, step_index=start_index + k, x0=guess, work=work
         )
@@ -506,6 +537,6 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
             if rate < steady_tol:
                 steady = True
                 break
-        guess = VectorField(state.grid, m_tilde.data - m_prev.data)
-        guess.data += m_new.data
+        np.subtract(m_tilde.data, m_prev.data, out=history[k % 3])
+        del m_tilde  # not held through the next solve
     return RunResult(state=state, time=time, step=index, steady=steady)

@@ -1,5 +1,6 @@
 """End-to-end command-line harness tests on tiny configurations."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,14 @@ def test_input_errors_exit_with_config_error(tmp_path, capsys, extra, message):
     assert err.startswith("config error:") and message in err
 
 
+def skyrmion_checkpoint(config, state, path):
+    """Write ``state`` as a checkpoint that a run of ``config`` resumes from."""
+    params = stepper.SchemeParams(beta=config.beta, gamma=config.gamma,
+                                  dt=config.time_steps(config.make_grid())[0],
+                                  model=FieldModel.extended(config.kappa, config.lam))
+    write_checkpoint(state, str(path), 0.1, 2, params)
+
+
 @pytest.mark.parametrize("source", ["input_state", "resume"])
 def test_non_finite_start_state_exits_with_config_error(tmp_path, capsys, source):
     # a NaN node would reach the solver, which spends its whole iteration
@@ -198,16 +207,62 @@ def test_non_finite_start_state_exits_with_config_error(tmp_path, capsys, source
         write_snapshot(state, str(path))
         extra = ["--override", "mode=Q0", "--override", f"input_state={path}"]
     else:
-        params = stepper.SchemeParams(beta=config.beta, gamma=config.gamma,
-                                      dt=config.time_steps(config.make_grid())[0],
-                                      model=FieldModel.extended(config.kappa, config.lam))
         path = tmp_path / "last.ckpt"
-        write_checkpoint(state, str(path), 0.1, 2, params)
+        skyrmion_checkpoint(config, state, path)
         extra = ["--resume", str(path)]
     code = main(["skyrmion", "--config", cfg] + extra)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"config error: {path}") and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"counts": (9, 9)}, {"spacing": (0.25, 0.25)}, {"origin": (0.1, 0.0)},
+    {"boundary": "periodic"},
+], ids=["counts", "spacing", "origin", "boundary"])
+@pytest.mark.parametrize("source", ["input_state", "resume"])
+def test_start_state_on_another_grid_exits_with_config_error(tmp_path, capsys, source,
+                                                             change):
+    # other counts ended in a GridMismatchError traceback; another spacing,
+    # origin or boundary was taken as it was
+    out = tmp_path / "o"
+    cfg = skyrmion_cfg(tmp_path, out)
+    config = parse_config(cfg)
+    other = dataclasses.replace(config.make_grid(), **change)
+    state = VectorField.constant(other, (0.0, 0.0, 1.0))
+    if source == "input_state":
+        path = tmp_path / "seed.txt"
+        write_snapshot(state, str(path))
+        extra = ["--override", "mode=Q0", "--override", f"input_state={path}"]
+    else:
+        path = tmp_path / "last.ckpt"
+        skyrmion_checkpoint(config, state, path)
+        extra = ["--resume", str(path)]
+    code = main(["skyrmion", "--config", cfg] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"config error: {path}: the state lies on {other}, not on the "
+                   f"configured {config.make_grid()}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, override", [("Q1", "seed_radius=2"),
+                                            ("Q0", "input_state=seed.txt")])
+def test_seed_keys_under_resume_exit_with_config_error(tmp_path, capsys, mode, override):
+    # a resumed run takes its state from the checkpoint and reads no seed
+    out = tmp_path / "o"
+    cfg = skyrmion_cfg(tmp_path, out)
+    ckpt = tmp_path / "last.ckpt"
+    config = parse_config(cfg)
+    skyrmion_checkpoint(config, VectorField.constant(config.make_grid(), (0.0, 0.0, 1.0)),
+                        ckpt)
+    code = main(["skyrmion", "--config", cfg, "--override", f"mode={mode}",
+                 "--override", override, "--resume", str(ckpt)])
+    key = override.split("=")[0]
+    assert code == 2
+    assert capsys.readouterr().err == (f"config error: override '{override}': key '{key}' "
+                                       f"is not read by a skyrmion run with resume = {ckpt}\n")
     assert not out.exists()
 
 

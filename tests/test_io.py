@@ -9,6 +9,7 @@ import pytest
 
 from llgsip import experiments
 from llgsip import io as llgsip_io
+from llgsip.effective_field import FieldModel
 from llgsip.exact import skyrmion_initial
 from llgsip.io import (
     ConfigError,
@@ -218,6 +219,24 @@ def test_each_run_reads_exactly_the_keys_it_accepts(tmp_path, run):
     if cfg.experiment == "converge":
         accepted.remove("grid")  # required of every config, yet its grids come from levels
     assert recorder.read == accepted
+
+
+@pytest.mark.parametrize("run", ["skyrmion-Q1", "skyrmion-Q0"])
+def test_a_resumed_run_reads_exactly_the_keys_it_accepts(tmp_path, run):
+    # the checkpoint's state replaces the seed, so neither seed key is read
+    cfg = parse_config(write_cfg(tmp_path, TINY_RUNS[run].format(out=tmp_path / "out",
+                                                                 seed=tmp_path / "seed")))
+    ckpt = str(tmp_path / "last.ckpt")
+    params = SchemeParams(beta=cfg.beta, gamma=cfg.gamma, dt=cfg.dt,
+                          model=FieldModel.extended(cfg.kappa, cfg.lam))
+    write_checkpoint(VectorField.constant(cfg.make_grid(), (0.0, 0.0, 1.0)), ckpt, 0.02, 2,
+                     params)
+    recorder = _RecordingConfig(**vars(cfg))
+    recorder.read = set()
+    experiments.cmd_skyrmion(recorder, resume=ckpt)
+    accepted = keys_read(cfg, resume=ckpt)
+    assert recorder.read == accepted
+    assert accepted == keys_read(cfg) - {"seed_radius", "input_state"}
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from llgsip.stepper import (
     _axis_eigenbasis,
     _cross,
     _cross_terms,
+    _extrapolated_start,
     _spectral_factors,
     _tangent_plane_preconditioner,
     gmres,
@@ -764,18 +765,106 @@ def test_run_monotone_energy_and_callbacks():
 
 
 def test_run_extrapolated_start_saves_matvecs():
-    # started from m^n every step, 25 steps of the 65^2 Neumann bubble of
-    # blowup_smoke.cfg take 275 matvecs; from m^n + (mt^n - m^(n-1)), 237
+    # 25 steps of the 65^2 Neumann bubble of blowup_smoke.cfg take 207
+    # krylov_iters from the linear start m^n + (mt^n - m^(n-1)), and 192
+    # from the cubic start
     h = 1 / 64
     grid = GridSpec((65, 65), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
     m0 = VectorField.from_function(grid, blowup_initial)
     params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
     reports = []
     run(m0, params, SolverConfig(), 25, callbacks=[lambda rep, *_: reports.append(rep)])
-    assert sum(r.krylov_iters for r in reports) <= 245
+    assert sum(r.krylov_iters for r in reports) <= 198
     # the first step has no step before it, and starts from m^0
     _, iters, _ = solve_intermediate(m0, params, SolverConfig(), t_new=params.dt)
     assert reports[0].krylov_iters == iters
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+def test_extrapolated_start_is_exact_for_polynomial_increments(k, rng):
+    # the start of solve k + 1 is m^n + d^(k+1) wherever d^j is a polynomial
+    # of degree min(k, 3) - 1 in j: quadratic from the fourth solve on, with
+    # the ring of increments wrapped around
+    shape = (3, 4, 5)
+    coefs = rng.standard_normal((3,) + shape)[:min(k, 3)]
+
+    def increment(j):
+        return sum(c * float(j) ** p for p, c in enumerate(coefs))
+
+    history = np.full((3,) + shape, np.nan)
+    for j in range(max(1, k - 2), k + 1):
+        history[j % 3] = increment(j)
+    m_new = rng.standard_normal(shape)
+    out = np.empty(shape)
+    start = _extrapolated_start(history, k, m_new, out)
+    assert start is out
+    expected = m_new + increment(k + 1)
+    assert np.max(np.abs(start - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def recorded_starts(monkeypatch):
+    """Copies of the start of every solve, in order, once gmres is patched."""
+    starts = []
+
+    def recording_gmres(matvec, b, x0, **kwargs):
+        starts.append(np.array(x0))
+        return gmres(matvec, b, x0, **kwargs)
+
+    monkeypatch.setattr(llgsip.stepper, "gmres", recording_gmres)
+    return starts
+
+
+def test_run_raises_the_start_order_over_the_first_solves(monkeypatch):
+    # solves 1, 2 and 3 start from the extrapolations of order 0, 1 and 2
+    # in mt, every later one from the cubic
+    starts = recorded_starts(monkeypatch)
+    h = 1 / 16
+    grid = GridSpec((17, 17), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
+    states, incs = [], []
+
+    def keep(rep, m_prev, m_tilde, m_new):
+        states.append(m_new.data)
+        incs.append(m_tilde.data - m_prev.data)
+
+    m0 = VectorField.from_function(grid, blowup_initial)
+    run(m0, params, SolverConfig(), 5, callbacks=[keep])
+    assert len(starts) == 5
+    assert np.array_equal(starts[0], ingest_initial(m0)[0].data)
+    assert np.array_equal(starts[1], states[0] + incs[0])
+    expected = [states[1] + 2 * incs[1] - incs[0]]
+    expected += [states[n] + 3 * (incs[n] - incs[n - 1]) + incs[n - 2] for n in (2, 3)]
+    for start, ref in zip(starts[2:], expected):
+        assert np.max(np.abs(start - ref)) <= 1e-15
+
+
+def test_second_run_call_starts_from_its_initial_state(monkeypatch):
+    # the increments of one call are not carried into the next, so a resumed
+    # run starts its first solve from m^n
+    starts = recorded_starts(monkeypatch)
+    h = 1 / 16
+    grid = GridSpec((17, 17), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
+    first = run(VectorField.from_function(grid, blowup_initial), params, SolverConfig(), 4)
+    run(first.state, params, SolverConfig(), 2)
+    assert len(starts) == 6
+    assert np.array_equal(starts[4], ingest_initial(first.state)[0].data)
+
+
+def test_cubic_start_manufactured_iteration_budget():
+    # the 64^2 level of converge_table2.cfg: from the linear start every
+    # solve takes 5 krylov_iters (4 GMRES iterations); from the cubic start
+    # each solve after the third takes 4 (3 GMRES iterations)
+    exact = manufactured_solution(beta=1.0, gamma=1.0)
+    n = 64
+    grid = GridSpec((n, n), (2 * np.pi / n,) * 2)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=1 / n, forcing=exact.forcing)
+    reports = []
+    run(exact.sample(grid, 0.0), params, SolverConfig(), n,
+        callbacks=[lambda rep, *_: reports.append(rep)])
+    assert len(reports) == n
+    gmres_iters = [r.krylov_iters - 1 for r in reports[3:]]
+    assert max(gmres_iters) <= 3, gmres_iters
 
 
 def test_run_steady_state_exit():
