@@ -96,8 +96,19 @@ def skyrmion_number(m: VectorField) -> float:
     if m.grid.dim != 2:
         raise UnsupportedConfigurationError("skyrmion number is defined on 2D grids")
     d1, d2 = planar_derivatives(m)
-    integrand = m.data * np.cross(d2, d1, axis=0)
-    return float(m.grid.cell_volume * node_sum(m.grid, integrand) / (4.0 * np.pi))
+    # m_i (D2 m x D1 m)_i, each product and difference as np.cross forms it,
+    # summed over i as node_sum would: one plane at a time
+    total, term, product = np.empty((3,) + m.grid.counts)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(d2[j], d1[k], out=term)
+        term -= np.multiply(d2[k], d1[j], out=product)
+        term *= m.data[i]
+        if i == 0:
+            total, term = term, total
+        else:
+            total += term
+    return float(m.grid.cell_volume * node_sum(m.grid, total) / (4.0 * np.pi))
 
 
 class FailureLog:

@@ -312,8 +312,10 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
     write_snapshot(res.state, snap_path, time=res.time, step=res.step, binary=binary)
     if not res.steady and res.step > start_index:
-        # budget exhausted: keep the last state around for a resumed run
-        write_checkpoint(res.state, last_path, res.time, res.step, params)
+        # budget exhausted: keep the last state around for a resumed run,
+        # from the bytes of a text snapshot of it
+        write_checkpoint(res.state, last_path, res.time, res.step, params,
+                         snapshot=None if binary else snap_path)
     log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     charge = skyrmion_number(res.state)
     target = MODE_CHARGE[config.mode]

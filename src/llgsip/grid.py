@@ -17,7 +17,8 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -123,8 +124,9 @@ class VectorField:
         return cls(grid, np.array(np.broadcast_to(vec, (3,) + grid.counts)))
 
     @classmethod
-    def from_function(cls, grid, fn, t=None):
-        """Sample ``fn(*coords)`` or ``fn(*coords, t)`` at the nodes.
+    def from_function(cls, grid, fn, t=None, out=None):
+        """Sample ``fn(*coords)`` or ``fn(*coords, t)`` at the nodes, into
+        ``out`` (new if None).
 
         ``coords`` are the node coordinates per axis as broadcastable arrays
         (axis ``a``'s has length 1 but along ``a``), so ``fn`` must be built
@@ -136,7 +138,7 @@ class VectorField:
         comps = fn(*coords) if t is None else fn(*coords, t)
         if len(comps) != 3:
             raise GridMismatchError(f"fn returned {len(comps)} components, expected 3")
-        data = np.empty((3,) + grid.counts)
+        data = np.empty((3,) + grid.counts) if out is None else out
         for c, comp in enumerate(comps):
             data[c] = comp
         return cls(grid, data)
@@ -144,9 +146,10 @@ class VectorField:
     def copy(self):
         return VectorField(self.grid, self.data.copy())
 
-    def pointwise_norm(self):
-        """|m| at every node, shape ``counts``."""
-        squares = np.sum(self.data ** 2, axis=0)
+    def pointwise_norm(self, out=None, scratch=None):
+        """|m| at every node, shape ``counts``, into ``out``; ``scratch``
+        takes the squares (new arrays if None)."""
+        squares = np.sum(np.square(self.data, out=scratch), axis=0, out=out)
         return np.sqrt(squares, out=squares)
 
 
@@ -192,27 +195,58 @@ def _check_same_grid(f, g):
 # raw-array stencils (trailing axes are the spatial ones, leading shape free)
 # ---------------------------------------------------------------------------
 
+def carve(buf, *shapes, dtype=np.float64):
+    """C-contiguous arrays of ``shapes`` and ``dtype``, laid one after the
+    other over the bytes of the C-contiguous array ``buf``; each one that
+    does not fit, or every one if ``buf`` is None, is a new array."""
+    raw = None if buf is None else buf.reshape(-1).view(np.uint8)
+    size = np.dtype(dtype).itemsize
+    arrays, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape) * size
+        if raw is None or stop > raw.size:
+            arrays.append(np.empty(shape, dtype))
+        else:
+            arrays.append(raw[start:stop].view(dtype).reshape(shape))
+        start = stop
+    return arrays
+
+
 def _key(grid, axis, s):
     """Index key taking ``s`` along spatial ``axis``, all of every other axis."""
     return (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
 
 
-def _faces(grid, values, op):
-    """Per axis, the face array op(upper, lower) of the node values on either
-    side of each face.  The periodic wrap face is filled from slices too, so
-    no rolled copy of ``values`` is made."""
-    faces = []
-    for a in range(grid.dim):
-        key = partial(_key, grid, a)
-        upper, lower = values[key(slice(1, None))], values[key(slice(None, -1))]
-        if grid.boundary == NEUMANN:
-            faces.append(op(upper, lower))
-            continue
-        face = np.empty_like(values)
+def _flat(a):
+    """The C-contiguous array ``a`` as a flat view."""
+    if not a.flags.c_contiguous:
+        raise ValueError("an output of a stencil must be C-contiguous")
+    return a.reshape(-1)
+
+
+def _face(grid, values, axis, op, out=None):
+    """The face array op(upper, lower) of the node values on either side of
+    each face along ``axis``, into ``out`` (new if None).  The periodic wrap
+    face is filled from slices too, so no rolled copy of ``values`` is made;
+    on the last axis the periodic faces are one pass over the flattened
+    array, whose faces across the end of a row the wrap faces then replace."""
+    key = partial(_key, grid, axis)
+    upper, lower = values[key(slice(1, None))], values[key(slice(None, -1))]
+    if grid.boundary == NEUMANN:
+        return op(upper, lower, out=out)
+    face = np.empty_like(values, order="C") if out is None else out
+    if axis == grid.dim - 1:
+        flat = values.reshape(-1)
+        op(flat[1:], flat[:-1], out=_flat(face)[:-1])
+    else:
         op(upper, lower, out=face[key(slice(None, -1))])
-        op(values[key(slice(0, 1))], values[key(slice(-1, None))], out=face[key(slice(-1, None))])
-        faces.append(face)
-    return faces
+    op(values[key(slice(0, 1))], values[key(slice(-1, None))], out=face[key(slice(-1, None))])
+    return face
+
+
+def _faces(grid, values, op):
+    """Per axis, the face array ``_face`` of op."""
+    return [_face(grid, values, a, op) for a in range(grid.dim)]
 
 
 def _neighbours(grid, axis):
@@ -243,28 +277,54 @@ def array_midpoint(grid, values):
     return tuple(faces)
 
 
-def array_laplacian(grid, values):
-    """Second-order 3-point Laplacian ((f_{i+1} - 2f_i) + f_{i-1})/h^2."""
-    out = np.zeros_like(values)
-    term = np.empty_like(values)
+def array_laplacian(grid, values, out=None, term=None):
+    """Second-order 3-point Laplacian ((f_{i+1} - 2f_i) + f_{i-1})/h^2,
+    summed over the axes in order onto zero, into ``out``.
+
+    ``out`` and ``term`` (new if None) are C-contiguous arrays of the shape
+    of ``values``, ``term`` scratch.  The last axis is one pass over the
+    flattened array, whose values at its wall nodes, where the flat
+    neighbours lie in the next or previous row, are then recomputed: so
+    NumPy iterates no strided interior.
+    """
+    out = np.empty_like(values, order="C") if out is None else out
+    term = np.empty_like(values, order="C") if term is None else term
+    last = grid.dim - 1
     for a in range(grid.dim):
-        np.multiply(values, 2.0, out=term)
-        for nodes, hi, lo in _neighbours(grid, a):
-            t = term[nodes]
+        acc = out if a == 0 else term
+        if a == last:
+            flat, mid = values.reshape(-1), _flat(acc)[1:-1]
+            np.multiply(flat[1:-1], 2.0, out=mid)
+            np.subtract(flat[2:], mid, out=mid)
+            mid += flat[:-2]
+        ranges = _neighbours(grid, a)
+        for nodes, hi, lo in ranges[1:] if a == last else ranges:
+            t = acc[nodes]
+            np.multiply(values[nodes], 2.0, out=t)
             np.subtract(values[hi], t, out=t)
             t += values[lo]
-        term /= grid.spacing[a] ** 2
-        out += term
+        acc /= grid.spacing[a] ** 2
+        if a == 0:
+            out += 0.0  # 0 + t: a -0.0 term sums to +0.0, as onto zeros
+        else:
+            out += term
     return out
 
 
-def array_central_difference(grid, values, axis):
-    """Node-centered central difference (f_{i+1} - f_{i-1})/(2h).
+def array_central_difference(grid, values, axis, out=None):
+    """Node-centered central difference (f_{i+1} - f_{i-1})/(2h), into
+    ``out`` (new if None, else C-contiguous); on the last axis one flat
+    pass and the wall nodes after, as in ``array_laplacian``.
 
     With ghost reflection the derivative vanishes at Neumann walls.
     """
-    out = np.empty_like(values)
-    for nodes, hi, lo in _neighbours(grid, axis):
+    out = np.empty_like(values, order="C") if out is None else out
+    ranges = _neighbours(grid, axis)
+    if axis == grid.dim - 1:
+        flat = values.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=_flat(out)[1:-1])
+        ranges = ranges[1:]
+    for nodes, hi, lo in ranges:
         np.subtract(values[hi], values[lo], out=out[nodes])
     out /= 2 * grid.spacing[axis]
     return out
@@ -327,23 +387,24 @@ def _face_weights(grid):
     )
 
 
-def _weighted_sum(grid, products, weights):
+def _weighted_sum(grid, products, weights, out=None):
     """sum(weights * products), the leading component axis of ``products``,
-    if any, contracted first; overwrites ``products``.  On a periodic grid
-    the weights are all ones and are not applied."""
+    if any, contracted first into ``out`` (new if None); overwrites
+    ``products``.  On a periodic grid the weights are all ones and are not
+    applied."""
     if products.ndim > grid.dim:
-        products = np.sum(products, axis=0)
+        products = np.sum(products, axis=0, out=out)
     if grid.boundary == NEUMANN:
         products *= weights
     return np.sum(products)
 
 
-def node_sum(grid, values):
+def node_sum(grid, values, out=None):
     """Sum over the nodes of ``values`` (overwritten) with the quadrature
     weights of the l2 inner product, a leading component axis, if any,
-    contracted first.  Every node integral in the package goes through here,
-    so summation by parts stays exact."""
-    return _weighted_sum(grid, values, _node_weights(grid))
+    contracted first into ``out`` (new if None).  Every node integral in the
+    package goes through here, so summation by parts stays exact."""
+    return _weighted_sum(grid, values, _node_weights(grid), out)
 
 
 def inner_product(f: VectorField, g: VectorField) -> float:
@@ -368,13 +429,26 @@ def gradient_inner_product(F: StaggeredGradient, G: StaggeredGradient) -> float:
     return _face_total(F.grid, (Fa * Ga for Fa, Ga in zip(F.axes, G.axes)))
 
 
-def l2_norm(f: VectorField) -> float:
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))
+def l2_norm(f: VectorField, scratch=None) -> float:
+    """||f||_2.  ``scratch`` (new arrays if None) takes the squares and
+    then their component sum; it may start with ``f.data`` itself, which
+    is then overwritten."""
+    squares, plane = carve(scratch, f.data.shape, f.data.shape[1:])
+    total = node_sum(f.grid, np.square(f.data, out=squares), plane)
+    return float(np.sqrt(max(float(f.grid.cell_volume * total), 0.0)))
 
 
-def grad_l2_norm(f: VectorField) -> float:
-    squares = (np.square(d, out=d) for d in array_gradient(f.grid, f.data))
-    return float(np.sqrt(max(_face_total(f.grid, squares), 0.0)))
+def grad_l2_norm(f: VectorField, scratch=None) -> float:
+    """||grad_h f||_2, one axis at a time: ``scratch`` (new arrays if None)
+    takes that axis's face array and then its component sum, 4/3 of
+    ``f.data`` at most."""
+    grid, total = f.grid, 0.0
+    for a, weights in enumerate(_face_weights(grid)):
+        face, plane = carve(scratch, f.data.shape[:1] + weights.shape, weights.shape)
+        face = _face(grid, f.data, a, np.subtract, face)
+        face /= grid.spacing[a]
+        total += _weighted_sum(grid, np.square(face, out=face), weights, plane)
+    return float(np.sqrt(max(float(grid.cell_volume * total), 0.0)))
 
 
 def lp_norm(f: VectorField, p) -> float:

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -431,18 +432,23 @@ def params_hash(params):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def write_checkpoint(f: VectorField, path, time, step, params):
+def write_checkpoint(f: VectorField, path, time, step, params, snapshot=None):
     """Header at ``path``, state snapshot at ``path.state``.
 
     Both are written to temporary files beside them and then moved into
     place, state first, so a failed write leaves the previous checkpoint
-    whole.
+    whole.  ``snapshot``, if given, is the path of a text snapshot of ``f``
+    at this time and step, whose bytes the state copies instead of
+    rendering ``f`` again.
     """
     path = str(path)
     state_tmp, header_tmp = path + ".state.tmp", path + ".tmp"
     header = f"# llgsip-checkpoint 1\n# params {params_hash(params)}\n"
     try:
-        write_snapshot(f, state_tmp, time=time, step=step)
+        if snapshot is None:
+            write_snapshot(f, state_tmp, time=time, step=step)
+        else:
+            shutil.copyfile(snapshot, state_tmp)
         with open(header_tmp, "w") as fh:
             fh.write(header)
         os.replace(state_tmp, path + ".state")

@@ -18,9 +18,13 @@ The module needs NumPy alone.
 increments d^j = mt^j - m^(j-1): the first from m^n, the second from
 m^n + d^n, the third from m^n + 2d^n - d^(n-1), and every later one from
 the cubic start m^n + 3(d^n - d^(n-1)) + d^(n-2) (``_extrapolated_start``).
-It also keeps one Krylov workspace, the last three increments and the
-start for all its solves, so that this storage is allocated, and faulted
-in, once per run.
+It also keeps the last three increments and one ``StepWorkspace`` for all
+its steps: the Krylov vectors, the start that each solve overwrites with
+mt, and every full-size temporary of the matvec, the preconditioner, the
+right-hand side and the energy.  This storage is allocated, and faulted
+in, once per run; a step allocates its new state and little else.  Each
+buffered operation keeps the order of operations of an allocating one, so
+the bits do not depend on where the arrays live.
 
 Without forcing the intermediate solution satisfies mt . m == 1 and
 |mt| >= 1 at every node (up to solver tolerance), which is what makes the
@@ -38,13 +42,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, explicit_field_apply,
-                              extended_energy)
+from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, dmi_derivatives,
+                              explicit_field_apply, extended_energy)
 from .grid import (
     NEUMANN,
     GridMismatchError,
     VectorField,
     array_laplacian,
+    carve,
     l2_norm,
 )
 
@@ -138,29 +143,37 @@ class StepReport:
         return failures
 
 
-def _cross(a, b, out):
+def _cross(a, b, out, plane=None):
     """out = a x b over the leading axis, with the products and differences
-    of np.cross in its order (so the same bits), but no casts or copies."""
+    of np.cross in its order (so the same bits), but no casts or copies;
+    ``plane`` (new if None) is scratch of one component's shape."""
+    plane = np.empty_like(out[0]) if plane is None else plane
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        out[i] -= np.multiply(a[k], b[j], out=plane)
     return out
 
 
-def _cross_terms(m, w, beta, gamma):
-    """beta m x w + gamma m x (m x w), pointwise on planes."""
-    c1 = _cross(m, w, np.empty_like(w))
-    c2 = _cross(m, c1, np.empty_like(w))
+def _cross_terms(m, w, beta, gamma, cross=None, plane=None):
+    """beta m x w + gamma m x (m x w), pointwise on planes, written over
+    ``w``; ``cross`` (new if None) takes m x w, ``plane`` as for ``_cross``."""
+    c1 = _cross(m, w, np.empty_like(w) if cross is None else cross, plane)
+    c2 = _cross(m, c1, w, plane)
     c1 *= beta
     c2 *= gamma
     c2 += c1
     return c2
 
 
-def _apply_operator(grid, v, m, params):
-    """A(v) on raw planes: the one definition of A."""
-    out = _cross_terms(m, array_laplacian(grid, v), params.beta, params.gamma)
+def _apply_operator(grid, v, m, params, scratch=None, plane=None):
+    """A(v) on raw planes: the one definition of A.  ``scratch`` (shape
+    (2,) + v.shape, new if None) takes the Laplacian, which the result
+    overwrites, and its scratch, then m x lap v; ``plane`` is scratch of one
+    component's shape."""
+    lap, cross = np.empty((2,) + v.shape) if scratch is None else scratch
+    lap = array_laplacian(grid, v, out=lap, term=cross)
+    out = _cross_terms(m, lap, params.beta, params.gamma, cross, plane)
     out *= params.dt
     out += v
     return out
@@ -173,16 +186,33 @@ def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) ->
     return VectorField(v.grid, _apply_operator(v.grid, v.data, m_prev.data, params))
 
 
-def _build_rhs(m_prev, params, t_new):
-    """The right-hand side m - dt*[beta m x H + gamma m x (m x H)] + dt*f."""
+def _state_derivatives(m, work):
+    """The ``dmi_derivatives`` of the state m in ``work``, taken once per
+    state: the energy of m^(n+1) and the explicit field of the step from it
+    share them.  ``work.derivs_of`` is the array they were taken of."""
+    if work.derivs_of is not m.data:
+        work.derivs = dmi_derivatives(m, out=work.krylov[:2])
+        work.derivs_of = m.data
+    return work.derivs
+
+
+def _build_rhs(m_prev, params, t_new, work):
+    """The right-hand side m - dt*[beta m x H + gamma m x (m x H)] + dt*f,
+    in ``work.rhs``."""
     m = m_prev.data
-    rhs = m.copy()
+    rhs = work.rhs
+    np.copyto(rhs, m)
+    field, cross = work.fields
     if params.model.variant != EXCHANGE_ONLY:
-        h_expl = explicit_field_apply(m_prev, params.model).data
-        rhs -= params.dt * _cross_terms(m, h_expl, params.beta, params.gamma)
+        h_expl = explicit_field_apply(m_prev, params.model, _state_derivatives(m_prev, work),
+                                      out=field, plane=work.plane).data
+        terms = _cross_terms(m, h_expl, params.beta, params.gamma, cross, work.plane)
+        terms *= params.dt
+        rhs -= terms
     if params.forcing is not None:
-        f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new)
-        rhs += params.dt * f.data
+        f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new, out=field).data
+        f *= params.dt
+        rhs += f
     return rhs
 
 
@@ -230,16 +260,19 @@ def _spectral_factors(grid, beta, gamma, dt, dtype):
     return factors
 
 
-def _along_axis(mat, values, axis):
-    """Apply the matrix ``mat`` along one axis of a raw array by matmul: mat
-    times each stacked (n, after) block, or on the last axis the rows times
-    mat^T.  A C-contiguous array is not copied."""
+def _along_axis(mat, values, axis, out=None):
+    """Apply the matrix ``mat`` along one axis of a raw array by matmul, into
+    ``out`` (new if None): mat times each stacked (n, after) block, or on
+    the last axis the rows times mat^T.  A C-contiguous array is not copied."""
     if axis == values.ndim - 1:
-        return values @ mat.T
-    return (mat @ values.reshape(values.shape[:axis + 1] + (-1,))).reshape(values.shape)
+        return np.matmul(values, mat.T, out=out)
+    blocks = values.shape[:axis + 1] + (-1,)
+    out = np.empty_like(values) if out is None else out
+    np.matmul(mat, values.reshape(blocks), out=out.reshape(blocks))
+    return out
 
 
-def _tangent_plane_preconditioner(grid, m, params, dtype=np.float32):
+def _tangent_plane_preconditioner(grid, m, params, work=None, dtype=np.float32):
     """x -> m(m.x) + P [V F1 V^-1 P x - m x (V F2 V^-1 P x)], P = I - m m^T.
 
     For unit m, m x (m x w) = m(m.w) - w, so A = I - dt(gamma P - beta J)
@@ -255,28 +288,44 @@ def _tangent_plane_preconditioner(grid, m, params, dtype=np.float32):
     transform is a matmul.
 
     The apply runs in ``dtype`` (float32: single-precision GEMMs) and
-    returns float64.  GMRES keeps each direction it returns and decides
-    the solve on the float64 true residual, so an inexact M^-1 costs at most
-    iterations, never accuracy; float64 is for tests of the algebra alone.
+    writes float64 into ``out`` (new if None).  GMRES keeps each direction
+    it returns and decides the solve on the float64 true residual, so an
+    inexact M^-1 costs at most iterations, never accuracy; float64 is for
+    tests of the algebra alone.  In float32 the ``StepWorkspace`` ``work``
+    holds every intermediate: m and three planes in ``work.single``, two
+    stacks of (F1, F2) in the bytes of ``work.fields``.  Without ``work``,
+    or where an intermediate does not fit, it is a new array.
     """
     vecs, invs, scale = _spectral_factors(grid, params.beta, params.gamma, params.dt, dtype)
-    m = m.astype(dtype)
+    single, fields = (None, None) if work is None else (work.single, work.fields)
+    m_cast, planes = carve(single, m.shape, m.shape, dtype=dtype)
+    np.copyto(m_cast, m)
+    m = m_cast
+    first, second = carve(fields, (2,) + m.shape, (2,) + m.shape, dtype=dtype)
+    halves = len(scale)
 
-    def apply(x):
-        x = x.astype(dtype)
-        mx = np.einsum("i...,i...->...", m, x)
-        t = x - m * mx
+    def apply(x, out=None):
+        t, u = second  # x, then P x and its forward transforms, back and forth
+        np.copyto(t, x)
+        mx = np.einsum("i...,i...->...", m, t, out=planes[0])
+        t = np.subtract(t, np.multiply(m, mx, out=u), out=u)
+        u = second[0]
         for k, inv in enumerate(invs):
-            t = _along_axis(inv, t, k + 1)
+            t, u = _along_axis(inv, t, k + 1, u), t
         # (F1 t, F2 t) on a leading axis, so one inverse transform serves
         # both halves; with beta = 0 the axis holds F1 t = t / a alone
-        t = scale * t
+        t, u = np.multiply(scale, t, out=first[:halves]), second[:halves]
         for k, mat in enumerate(vecs):
-            t = _along_axis(mat, t, k + 2)
-        t = t[0] if len(t) == 1 else t[0] - _cross(m, t[1], np.empty_like(m))
+            t, u = _along_axis(mat, t, k + 2, u), t
+        # u, the other stack, is free again
+        t = t[0] if halves == 1 else np.subtract(t[0], _cross(m, t[1], u[0], planes[1]),
+                                                  out=u[0])
         # project back onto the tangent plane, keep m(m.x)
-        t += m * (mx - np.einsum("i...,i...->...", m, t))
-        return t.astype(np.float64)
+        mt = np.einsum("i...,i...->...", m, t, out=planes[2])
+        t += np.multiply(m, np.subtract(mx, mt, out=mt), out=u[-1])
+        out = np.empty(t.shape) if out is None else out
+        np.copyto(out, t)
+        return out
 
     return apply
 
@@ -289,35 +338,73 @@ def krylov_workspace(shape, restart):
     return np.empty((2 * restart + 1,) + tuple(shape))
 
 
+class StepWorkspace:
+    """Every full-size array of a step on a grid of ``counts``, for a run to
+    allocate once and pass to each ``step``:
+
+    krylov:     the ``krylov_workspace``
+    start:      the start of the solve, which the solve overwrites with mt
+    rhs:        the right-hand side
+    fields:     two fields of scratch: the matvec's Laplacian and cross
+                products, the explicit field, the forcing, the float32
+                preconditioner's two stacks, the energy's face arrays
+    single:     m and three planes in float32, for the preconditioner
+    plane:      one component of scratch for the cross products
+    derivs:     the ``dmi_derivatives`` of the state ``derivs_of``, over the
+                first Krylov rows: valid from a step's energy to the next
+                solve
+    """
+
+    def __init__(self, counts, restart):
+        counts = tuple(counts)
+        shape = (3,) + counts
+        self.krylov = krylov_workspace(shape, restart)
+        self.start = np.empty(shape)
+        self.rhs = np.empty(shape)
+        self.fields = np.empty((2,) + shape)
+        self.single = np.empty((2,) + shape, dtype=np.float32)
+        self.plane = np.empty(counts)
+        self.derivs = None
+        self.derivs_of = None
+
+
 def gmres(matvec, b, x0, *, rtol, restart, max_iter, psolve=None, callback=None,
           work=None):
-    """Restarted GMRES for A x = b, right-preconditioned by ``psolve`` (x -> M^-1 x).
+    """Restarted GMRES for A x = b, right-preconditioned by ``psolve``, in
+    place of the start ``x0``.
 
-    ``matvec`` and ``psolve`` map arrays of the shape of ``b`` to new arrays
-    of that shape.  Each cycle starts from the true residual r, runs up to
-    ``restart`` Arnoldi steps on A M^-1 (modified Gram-Schmidt, Givens
-    rotations) and keeps each direction z_j = M^-1 v_j, so that it ends in
-    x += Z y with no further apply; then one matvec takes r = b - A x.  A
-    cycle stops early once the estimate |g| of ||b - A x|| drops to ``rtol``
-    ||b||, and the solve once the true ||r|| does, or after ``max_iter``
-    cycles.  A solve of k iterations in c cycles costs k applies and
-    k + c + 1 matvecs.  ``callback`` gets |g| / ||b|| once per iteration.
-    ``work`` is a ``krylov_workspace`` for the solve (a new one if None).
-    Returns (x, ||b - A x|| / ||b||), the residual from the last matvec.
+    ``matvec`` maps an array of the shape of ``b`` to A times it; it may
+    return a buffer of its own, as each result is used up before the next
+    call.  ``psolve(v, out)`` writes M^-1 v into ``out``.  Each cycle
+    starts from the true residual r, runs up to ``restart`` Arnoldi steps
+    on A M^-1 (modified Gram-Schmidt, Givens rotations) and keeps each
+    direction z_j = M^-1 v_j, so that it ends in x += Z y with no further
+    apply; then one matvec takes r = b - A x.  A cycle stops early once the
+    estimate |g| of ||b - A x|| drops to ``rtol`` ||b||, and the solve once
+    the true ||r|| does, or after ``max_iter`` cycles.  A solve of k
+    iterations in c cycles costs k applies and k + c + 1 matvecs.
+    ``callback`` gets |g| / ||b|| once per iteration.  ``work`` is a
+    ``krylov_workspace`` for the solve (a new one if None); r takes its
+    first Arnoldi row and Z y the row after a cycle's last one.  Returns
+    (x0, ||b - A x0|| / ||b||), x0 the solution and the residual from the
+    last matvec.
     """
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros_like(b), 0.0
     if work is None:
         work = krylov_workspace(b.shape, restart)
     if work.shape != (2 * restart + 1,) + b.shape:
         raise ValueError(f"workspace of shape {work.shape} does not fit restart "
                          f"{restart} and vectors of shape {b.shape}")
+    if np.may_share_memory(x0, b):
+        raise ValueError("the start is solved in place, so it may not share memory with b")
+    x = x0
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        x[...] = 0.0
+        return x, 0.0
     basis = work[:restart + 1]
     dirs = work if psolve is None else work[restart + 1:]  # z_j = v_j unpreconditioned
     target = rtol * b_norm
-    x = np.array(x0, dtype=float)
-    r = b - matvec(x)
+    r = np.subtract(b, matvec(x), out=basis[0])
     r_norm = np.linalg.norm(r)
     for _ in range(max_iter):
         if r_norm <= target:
@@ -326,10 +413,10 @@ def gmres(matvec, b, x0, *, rtol, restart, max_iter, psolve=None, callback=None,
         g = np.zeros(restart + 1)
         g[0] = r_norm
         rotations = []
-        np.divide(r, r_norm, out=basis[0])
+        r /= r_norm  # the first Arnoldi vector
         for j in range(restart):
             if psolve is not None:
-                dirs[j] = psolve(basis[j])
+                psolve(basis[j], dirs[j])
             w = matvec(dirs[j])
             w_norm = np.linalg.norm(w)
             for i in range(j + 1):
@@ -359,17 +446,21 @@ def gmres(matvec, b, x0, *, rtol, restart, max_iter, psolve=None, callback=None,
         y = g[:k]  # back substitution in the rotated, upper triangular hess
         for i in range(k - 1, -1, -1):
             y[i] = (y[i] - hess[i, i + 1:k] @ y[i + 1:]) / hess[i, i]
-        x += np.tensordot(y, dirs[:k], axes=1)
-        r = b - matvec(x)
+        # Z y as np.tensordot forms it, into v_k, which is used up
+        zy = basis[k]
+        np.dot(y[None, :], dirs[:k].reshape(k, -1), out=zy.reshape(1, -1))
+        x += zy
+        r = np.subtract(b, matvec(x), out=basis[0])
         r_norm = np.linalg.norm(r)
     return x, float(r_norm / b_norm)
 
 
 def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig,
                        t_new, x0=None, work=None):
-    """Solve A(mt) = rhs matrix-free from the start ``x0`` (a field on the
-    grid; m_prev if None) in the ``krylov_workspace`` ``work`` (a new one
-    if None); returns (mt, krylov_iters, residual).
+    """Solve A(mt) = rhs matrix-free in the ``StepWorkspace`` ``work`` (a
+    new one if None), from the start ``x0``, a field on the grid that the
+    solve overwrites with mt (if None, a copy of m_prev in ``work.start``);
+    returns (mt, krylov_iters, residual).
 
     ``krylov_iters`` counts the solve's matvecs but the final true-residual
     one, and ``residual`` is that true ||rhs - A mt|| / ||rhs||: above
@@ -378,26 +469,33 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     """
     grid = m_prev.grid
     grid.require_uniform()
+    if work is None:
+        work = StepWorkspace(grid.counts, cfg.restart)
     m = m_prev.data
     matvecs = 0
 
     def matvec(x):
         nonlocal matvecs
         matvecs += 1
-        return _apply_operator(grid, x, m, params)
+        return _apply_operator(grid, x, m, params, work.fields, work.plane)
 
+    if x0 is None:
+        x0 = VectorField(grid, work.start)
+        np.copyto(x0.data, m)
+    rhs = _build_rhs(m_prev, params, t_new, work)
+    work.derivs_of = None  # the solve writes over them
     residuals = []
     # rtol is relative to ||rhs||, so a better start does not loosen the solve
     x, residual = gmres(
         matvec,
-        _build_rhs(m_prev, params, t_new),
-        m if x0 is None else x0.data,
+        rhs,
+        x0.data,
         rtol=cfg.rel_tol,
         restart=cfg.restart,
         max_iter=cfg.max_iter,
-        psolve=_tangent_plane_preconditioner(grid, m, params),
+        psolve=_tangent_plane_preconditioner(grid, m, params, work),
         callback=residuals.append,
-        work=work,
+        work=work.krylov,
     )
     if not residual <= cfg.rel_tol * 10.0:
         raise SolverError(
@@ -427,25 +525,33 @@ def _max_distance_from_one(values):
 
 def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, step_index=0,
          x0=None, work=None):
-    """One full scheme step: implicit solve from ``x0`` (in the Krylov
-    storage ``work``) then projection.
+    """One full scheme step: implicit solve from ``x0`` (overwritten, as for
+    ``solve_intermediate``) in the ``StepWorkspace`` ``work`` (a new one if
+    None), then projection.
 
-    Returns (m_new, m_tilde, report).
+    Returns (m_new, m_tilde, report); m_new is a new array, and m_tilde
+    lies over ``x0`` or ``work.start``.
     """
+    if work is None:
+        work = StepWorkspace(m_prev.grid.counts, cfg.restart)
     m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new, x0=x0,
                                                   work=work)
-    lengths = m_tilde.pointwise_norm()
+    squares = work.fields[0]
+    lengths = m_tilde.pointwise_norm(out=work.plane, scratch=squares)
     m_new = normalize(m_tilde, lengths)
+    min_length = float(np.min(lengths))
+    derivs = None if params.model.variant == EXCHANGE_ONLY else _state_derivatives(m_new, work)
     report = StepReport(
         step_index=step_index,
         time=float(t_new),
         krylov_iters=iters,
         residual=residual,
-        min_intermediate_length=float(np.min(lengths)),
-        energy=extended_energy(m_new, params.model),
-        max_length_error=_max_distance_from_one(m_new.pointwise_norm()),
+        min_intermediate_length=min_length,
+        energy=extended_energy(m_new, params.model, derivs, work.fields),
+        max_length_error=_max_distance_from_one(
+            m_new.pointwise_norm(out=work.plane, scratch=squares)),
         max_orthogonality_error=_max_distance_from_one(
-            np.einsum("i...,i...->...", m_tilde.data, m_prev.data)),
+            np.einsum("i...,i...->...", m_tilde.data, m_prev.data, out=work.plane)),
     )
     return m_new, m_tilde, report
 
@@ -496,31 +602,31 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
 
     ``callbacks`` are called as cb(report, m_prev, m_tilde, m_new) after
     every step, and are the one way to see its report: the result keeps the
-    last state, time and step number.  With ``steady_tol`` set, the loop
-    exits early once ||m^n - m^(n-1)||_2 / dt drops below it.  The first
-    solve of a call starts from the initial state m^n, the second from the
-    linear extrapolation m^n + (mt^n - m^(n-1)), the third from the
-    quadratic and every later one from the cubic ``_extrapolated_start`` of
-    this call's increments mt - m_prev.  All solves share one
-    ``krylov_workspace``, one ring of the last three increments and one
-    start buffer, allocated here.
+    last state, time and step number.  The states are the callback's to
+    keep but not to modify; m_tilde lies in the run's workspace, valid only
+    during that call.  With ``steady_tol`` set, the loop exits early once
+    ||m^n - m^(n-1)||_2 / dt drops below it.  The first solve of a call
+    starts from the initial state m^n, the second from the linear
+    extrapolation m^n + (mt^n - m^(n-1)), the third from the quadratic and
+    every later one from the cubic ``_extrapolated_start`` of this call's
+    increments mt - m_prev.  All steps share one ``StepWorkspace`` and one
+    ring of the last three increments, allocated here.
     """
     state, _ = ingest_initial(initial, override=override_unit_check)
     time, index = t_start, start_index
     if n_steps > 0 and params.dt == 0:
         raise ValueError("time loop needs a positive dt")
     steady = False
-    shape = (3,) + state.grid.counts
-    work = krylov_workspace(shape, cfg.restart)
-    history = np.empty((3,) + shape)  # increment j at row j % 3
-    start = np.empty(shape)
+    grid = state.grid
+    work = StepWorkspace(grid.counts, cfg.restart)
+    history = np.empty((3, 3) + grid.counts)  # increment j at row j % 3
     for k in range(1, n_steps + 1):
         t_new = t_start + k * params.dt
         m_prev = state
         guess = None
         if k > 1:
-            guess = VectorField(state.grid, _extrapolated_start(history, k - 1, state.data,
-                                                                start))
+            guess = VectorField(grid, _extrapolated_start(history, k - 1, state.data,
+                                                          work.start))
         m_new, m_tilde, report = step(
             m_prev, params, cfg, t_new, step_index=start_index + k, x0=guess, work=work
         )
@@ -533,10 +639,10 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
             cb(report, m_prev, m_tilde, m_new)
         state = m_new
         if steady_tol is not None:
-            rate = l2_norm(VectorField(state.grid, m_new.data - m_prev.data)) / params.dt
+            change = np.subtract(m_new.data, m_prev.data, out=work.fields[0])
+            rate = l2_norm(VectorField(grid, change), scratch=work.fields) / params.dt
             if rate < steady_tol:
                 steady = True
                 break
         np.subtract(m_tilde.data, m_prev.data, out=history[k % 3])
-        del m_tilde  # not held through the next solve
     return RunResult(state=state, time=time, step=index, steady=steady)

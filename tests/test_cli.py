@@ -8,6 +8,7 @@ import pytest
 
 import llgsip.cli
 import llgsip.experiments
+import llgsip.io
 from llgsip import stepper
 from llgsip.cli import main
 from llgsip.effective_field import FieldModel
@@ -498,6 +499,35 @@ def test_resumed_skyrmion_energies_match_uninterrupted_run(tmp_path):
     resumed = np.concatenate((before["energy"], after["energy"][1:]))
     assert list(ref["step"]) == list(range(11))
     assert np.allclose(resumed, ref["energy"], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("snapshot_format", ["text", "binary"])
+def test_out_of_budget_skyrmion_renders_its_state_once(tmp_path, monkeypatch,
+                                                       snapshot_format):
+    # a text relaxed snapshot and the checkpoint's state hold the same
+    # state, time and step, so the state is rendered once and copied
+    out = tmp_path / "o"
+    cfg = skyrmion_cfg(tmp_path, out)
+    renders = []
+    render = llgsip.io.write_snapshot
+
+    def counted(f, path, **kwargs):
+        renders.append(Path(path).name)
+        return render(f, path, **kwargs)
+
+    monkeypatch.setattr(llgsip.io, "write_snapshot", counted)
+    monkeypatch.setattr(llgsip.experiments, "write_snapshot", counted)
+    assert main(["skyrmion", "--config", cfg, "--override",
+                 f"snapshot_format={snapshot_format}"]) == 1
+    state = (out / "skyrmion_q1_last.ckpt.state").read_bytes()
+    if snapshot_format == "text":
+        assert renders == ["skyrmion_q1_relaxed.txt"]
+        assert state == (out / "skyrmion_q1_relaxed.txt").read_bytes()
+    else:
+        assert renders == ["skyrmion_q1_relaxed.bin", "skyrmion_q1_last.ckpt.state.tmp"]
+        snap, _, _ = llgsip.io.read_snapshot(out / "skyrmion_q1_relaxed.bin")
+        field, _, step = read_checkpoint(out / "skyrmion_q1_last.ckpt")
+        assert step == 2 and field.data.tobytes() == snap.data.tobytes()
 
 
 @pytest.mark.parametrize(

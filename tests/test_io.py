@@ -521,3 +521,28 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, rng, monkey
     g, time, step = read_checkpoint(path, params=params)
     assert np.array_equal(g.data, first.data)
     assert (time, step) == (2.5, 250)
+
+
+def test_checkpoint_from_a_text_snapshot_keeps_its_bytes(tmp_path, rng, monkeypatch):
+    # the state of a checkpoint written from a snapshot of the same field,
+    # time and step is that snapshot's bytes, and the field is not rendered
+    grid = GridSpec((6, 5), (0.5, 0.5))
+    f = random_unit_field(grid, rng)
+    params = SchemeParams(beta=0.0, gamma=1.0, dt=0.01)
+    snap = tmp_path / "snap.txt"
+    write_snapshot(f, snap, time=0.75, step=75)
+    write_checkpoint(f, tmp_path / "rendered.ckpt", time=0.75, step=75, params=params)
+
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered again")
+
+    monkeypatch.setattr(llgsip_io, "write_snapshot", no_render)
+    write_checkpoint(f, tmp_path / "copied.ckpt", time=0.75, step=75, params=params,
+                     snapshot=snap)
+    for suffix in ("", ".state"):
+        rendered = (tmp_path / f"rendered.ckpt{suffix}").read_bytes()
+        assert (tmp_path / f"copied.ckpt{suffix}").read_bytes() == rendered
+    assert (tmp_path / "copied.ckpt.state").read_bytes() == snap.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "copied.ckpt", "copied.ckpt.state", "rendered.ckpt", "rendered.ckpt.state",
+        "snap.txt"]

@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +13,20 @@ from hypothesis.extra import numpy as hnp
 import scipy.linalg
 import scipy.sparse.linalg
 
+import llgsip.effective_field
 import llgsip.stepper
 
 from llgsip.diagnostics import ExactSolution
 from llgsip.exact import (blowup_initial, dissipation_initial, manufactured_solution,
                           skyrmion_initial)
-from llgsip.effective_field import FieldModel, exchange_energy
+from llgsip.effective_field import (FieldModel, dmi_derivatives, exchange_energy,
+                                   explicit_field_apply, extended_energy)
 from llgsip.grid import (
     NEUMANN,
     PERIODIC,
     GridSpec,
     VectorField,
+    array_central_difference,
     array_laplacian,
     grad_l2_norm,
 )
@@ -30,7 +34,9 @@ from llgsip.stepper import (
     DegenerateStateError,
     SchemeParams,
     SolverConfig,
+    StepWorkspace,
     _along_axis,
+    _apply_operator,
     _axis_eigenbasis,
     _cross,
     _cross_terms,
@@ -346,9 +352,9 @@ def test_krylov_matvec_equals_operator_apply(boundary, beta, rng, monkeypatch):
         matvecs.append(matvec)
         return gmres(matvec, b, x0, **kwargs)
 
-    def counted_laplacian(grid, values):
+    def counted_laplacian(grid, values, **buffers):
         laplacians.append(values.shape)
-        return array_laplacian(grid, values)
+        return array_laplacian(grid, values, **buffers)
 
     monkeypatch.setattr(llgsip.stepper, "gmres", capturing_gmres)
     monkeypatch.setattr(llgsip.stepper, "array_laplacian", counted_laplacian)
@@ -403,9 +409,10 @@ def test_preconditioned_solve_matches_unpreconditioned(
     m = random_unit_field(grid, np.random.default_rng(seed))
     params = SchemeParams(beta=beta, gamma=gamma, dt=dt)
     cfg = SolverConfig()
-    # unforced, exchange only: the right-hand side is m, as is the start
+    # unforced, exchange only: the right-hand side is m, as is the start,
+    # which gmres overwrites with the solution
     plain, residual = gmres(lambda x: operator_apply(VectorField(grid, x), m, params).data,
-                            m.data, m.data, rtol=cfg.rel_tol, restart=cfg.restart,
+                            m.data, m.data.copy(), rtol=cfg.rel_tol, restart=cfg.restart,
                             max_iter=cfg.max_iter)
     assert residual <= 10 * cfg.rel_tol
     pre, _, _ = solve_intermediate(m, params, cfg, t_new=dt)
@@ -467,17 +474,17 @@ def test_gmres_matches_scipy(preconditioned, seed):
     rng = np.random.default_rng(seed)
     a, approx, b = random_system(rng, 60)
     x0 = rng.standard_normal(60)
-    start = x0.copy()
     history = []
-    x, residual = gmres(lambda v: a @ v, b, x0, rtol=1e-13, restart=4, max_iter=200,
-                        psolve=(lambda v: approx @ v) if preconditioned else None,
-                        callback=history.append)
     ref, info = scipy.sparse.linalg.gmres(a, b, x0=x0, rtol=1e-13, atol=0.0, restart=4,
                                           maxiter=200, M=approx if preconditioned else None)
+    x, residual = gmres(lambda v: a @ v, b, x0, rtol=1e-13, restart=4, max_iter=200,
+                        psolve=(lambda v, out: np.matmul(approx, v, out=out))
+                        if preconditioned else None,
+                        callback=history.append)
+    assert x is x0  # solved in place of the start
     assert info == 0 and len(history) > 4
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-13
-    assert np.array_equal(x0, start)
 
 
 def test_gmres_costs_one_apply_per_iteration_and_one_matvec_per_cycle_more(rng):
@@ -493,7 +500,8 @@ def test_gmres_costs_one_apply_per_iteration_and_one_matvec_per_cycle_more(rng):
     for restart, cycles in ((40, 1), (3, None)):
         counts.update(matvec=0, psolve=0, iterations=0)
         gmres(counted("matvec", lambda v: a @ v), b, np.zeros(40), rtol=1e-12,
-              restart=restart, max_iter=100, psolve=counted("psolve", lambda v: approx @ v),
+              restart=restart, max_iter=100,
+              psolve=counted("psolve", lambda v, out: np.matmul(approx, v, out=out)),
               callback=counted("iterations", lambda r: None))
         k = counts["iterations"]
         cycles = cycles or -(-k // restart)
@@ -510,9 +518,9 @@ def test_solve_applies_preconditioner_once_per_iteration(monkeypatch):
     def counted_preconditioner(*args):
         apply = make(*args)
 
-        def counted(x):
+        def counted(x, out):
             applies.append(1)
-            return apply(x)
+            return apply(x, out)
         return counted
 
     def counted_gmres(*args, callback, **kwargs):
@@ -548,8 +556,9 @@ def test_run_reuses_one_workspace_for_the_same_results(monkeypatch):
     grid = GridSpec((17, 17), (h, h), origin=(-0.5, -0.5), boundary=NEUMANN)
     m0 = VectorField.from_function(grid, blowup_initial)
     params = SchemeParams(beta=1.0, gamma=1.0, dt=1e-3)
-    tildes = []
-    run(m0, params, SolverConfig(), 2, callbacks=[lambda rep, mp, mt, mn: tildes.append(mt)])
+    tildes = []  # mt lies in the run's workspace, valid during the callback alone
+    run(m0, params, SolverConfig(), 2,
+        callbacks=[lambda rep, mp, mt, mn: tildes.append(mt.data.copy())])
     assert len(works) == 2 and works[0] is works[1] is not None
     assert works[0].shape == (2 * SolverConfig().restart + 1, 3) + grid.counts
 
@@ -561,9 +570,9 @@ def test_run_reuses_one_workspace_for_the_same_results(monkeypatch):
     guess.data += m1.data
     fresh2, _, _ = solve_intermediate(m1, params, SolverConfig(), t_new=2 * params.dt,
                                       x0=guess)
-    assert works == [None, None]
-    assert np.array_equal(tildes[0].data, fresh1.data)
-    assert np.array_equal(tildes[1].data, fresh2.data)
+    assert len(works) == 2 and works[0] is not works[1]
+    assert np.array_equal(tildes[0], fresh1.data)
+    assert np.array_equal(tildes[1], fresh2.data)
 
 
 def test_gmres_rejects_a_workspace_that_does_not_fit(rng):
@@ -964,3 +973,165 @@ def test_params_validation():
     for key, value in (("rel_tol", 1e-6), ("max_iter", 1), ("restart", 3)):
         with pytest.raises(TypeError):
             SolverConfig(**{key: value})
+
+
+# ---------------------------------------------------------------------------
+# run-owned buffers: the same bits as allocating calls, and no step-sized
+# temporaries
+# ---------------------------------------------------------------------------
+
+BUFFER_GRIDS = [(2, 2), (2, 5), (6, 2), (7, 6), (2, 3, 2), (4, 5, 3)]
+
+
+def bits(a):
+    """The bytes of an array: unlike np.array_equal, this sees -0.0 apart
+    from 0.0."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def signed_zeros(values, rng):
+    """``values`` with about a third of its entries set to 0.0 or -0.0."""
+    zero = rng.random(values.shape) < 0.3
+    values[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return values
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_buffered_stencils_keep_the_bits_of_a_zero_filled_sum(boundary, rng):
+    # every axis of 2 nodes and more, 2-D and 3-D, one pair of buffers
+    # reused across calls; the reference sums each axis's term onto zeros
+    for counts in BUFFER_GRIDS:
+        grid = GridSpec(counts, tuple(0.3 + 0.1 * a for a in range(len(counts))),
+                        boundary=boundary)
+        out, term = np.empty((2, 3) + counts)
+        for _ in range(3):
+            values = signed_zeros(rng.standard_normal((3,) + counts), rng)
+            ref = np.zeros_like(values)
+            for a, h in enumerate(grid.spacing):
+                hi, lo = (np.roll(values, -s, axis=1 + a) for s in (1, -1))
+                if boundary == NEUMANN:  # the ghost reflects: m_{-1} = m_1
+                    first, last = (at_index(a, 0), at_index(a, 1)), (at_index(a, -1),
+                                                                    at_index(a, -2))
+                    lo[first[0]], hi[last[0]] = values[first[1]], values[last[1]]
+                ref += (hi - 2.0 * values + lo) / h ** 2
+            fresh = array_laplacian(grid, values)
+            assert array_laplacian(grid, values, out=out, term=term) is out
+            assert bits(out) == bits(fresh) == bits(ref)
+            d = np.empty_like(values)
+            for a in range(grid.dim):
+                assert bits(array_central_difference(grid, values, a, out=d)) == bits(
+                    array_central_difference(grid, values, a))
+
+
+def at_index(axis, index):
+    """Key of the nodes at ``index`` along spatial ``axis`` of a field."""
+    return (slice(None),) * (axis + 1) + (index,)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("beta", [0.0, -1.7])
+def test_buffered_matvec_keeps_the_bits_of_operator_apply(boundary, beta, rng):
+    params = SchemeParams(beta=beta, gamma=0.3, dt=0.05)
+    for counts in BUFFER_GRIDS:
+        grid = GridSpec(counts, (0.4,) * len(counts), boundary=boundary)
+        work = StepWorkspace(counts, 3)
+        m = random_unit_field(grid, rng)
+        for _ in range(3):
+            v = VectorField(grid, signed_zeros(rng.standard_normal((3,) + counts), rng))
+            out = _apply_operator(grid, v.data, m.data, params, work.fields, work.plane)
+            assert np.shares_memory(out, work.fields)  # a buffer of the workspace
+            assert bits(out) == bits(operator_apply(v, m, params).data)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+@pytest.mark.parametrize("beta", [0.0, -1.7])
+def test_buffered_single_precision_apply_keeps_the_bits_of_a_fresh_one(boundary, beta,
+                                                                       rng):
+    # the float32 apply in a workspace, written into a Krylov row, against
+    # one that allocates every intermediate
+    params = SchemeParams(beta=beta, gamma=1.3, dt=0.2)
+    for counts in BUFFER_GRIDS:
+        grid = GridSpec(counts, (0.4,) * len(counts), boundary=boundary)
+        work = StepWorkspace(counts, 3)
+        m = random_unit_field(grid, rng).data
+        buffered = _tangent_plane_preconditioner(grid, m, params, work)
+        fresh = _tangent_plane_preconditioner(grid, m, params)
+        for j in range(3):
+            x = rng.standard_normal((3,) + counts)
+            before = x.copy()
+            row = work.krylov[-1 - j]
+            assert buffered(x, row) is row
+            assert bits(row) == bits(fresh(x))
+            assert np.array_equal(x, before)
+
+
+def per_step_peaks(initial, params, n_steps):
+    """Per step after the first, the peak of traced memory above its value
+    at the end of the step before, in fields of the grid."""
+    peaks, start = [], []
+
+    def measure(report, *_):
+        current, peak = tracemalloc.get_traced_memory()
+        if start:
+            peaks.append((peak - start[0]) / initial.data.nbytes)
+        tracemalloc.reset_peak()
+        start[:] = [tracemalloc.get_traced_memory()[0]]
+
+    tracemalloc.start()
+    try:
+        run(initial, params, SolverConfig(), n_steps, callbacks=[measure])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def forced_case():
+    # the 64^2 level of converge_table2.cfg
+    exact = manufactured_solution(beta=1.0, gamma=1.0)
+    n = 64
+    grid = GridSpec((n, n), (2 * np.pi / n,) * 2)
+    return exact.sample(grid, 0.0), SchemeParams(beta=1.0, gamma=1.0, dt=1 / n,
+                                                 forcing=exact.forcing)
+
+
+@pytest.mark.parametrize("case", [skyrmion_case, forced_case],
+                         ids=["skyrmion-neumann", "forced-periodic"])
+def test_step_allocates_at_most_two_fields_after_the_first(case):
+    # the run's workspace holds every full-size temporary of a step; what a
+    # step still allocates is its new state and NumPy's iterator buffers,
+    # which have a fixed size (1.35 fields at 64^2)
+    initial, params = case()[:2]
+    peaks = per_step_peaks(initial, params, 6)
+    assert len(peaks) == 5 and max(peaks) <= 2.0, peaks
+
+
+def test_one_set_of_dmi_derivatives_per_state(monkeypatch):
+    # the energy of m^(n+1) and the explicit field of the step from it share
+    # the derivatives: two central differences per step, and two more for
+    # the initial state; each set is that of the state it is used for
+    differences = []
+    original = llgsip.effective_field.array_central_difference
+
+    def counted(*args, **kwargs):
+        differences.append(args[2])
+        return original(*args, **kwargs)
+
+    checked = []
+
+    def checked_field(m, model, derivs=None, **kwargs):
+        fresh = dmi_derivatives(m)
+        assert all(bits(a) == bits(b) for a, b in zip(derivs, fresh))
+        checked.append(1)
+        return explicit_field_apply(m, model, derivs, **kwargs)
+
+    monkeypatch.setattr(llgsip.effective_field, "array_central_difference", counted)
+    monkeypatch.setattr(llgsip.stepper, "explicit_field_apply", checked_field)
+    initial, params, _ = skyrmion_case()
+    energies = []
+    run(initial, params, SolverConfig(), 4, callbacks=[
+        lambda rep, mp, mt, mn: energies.append(
+            (rep.energy, extended_energy(mn, params.model)))])
+    assert len(checked) == 4 and len(energies) == 4
+    assert all(shared == fresh for shared, fresh in energies)
+    # the checks above take two more per call; the run took 2 per state
+    assert len(differences) == 2 * 5 + 2 * 4 + 2 * 4
