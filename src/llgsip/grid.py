@@ -249,16 +249,17 @@ def _faces(grid, values, op):
     return [_face(grid, values, a, op) for a in range(grid.dim)]
 
 
+@lru_cache(maxsize=64)
 def _neighbours(grid, axis):
     """(nodes, upper, lower) index keys covering spatial ``axis``, read in
     place; at a wall the ghost is m_{-1} = m_1, m_n = m_{n-2} (Neumann) or
-    the node across the wrap (periodic)."""
+    the node across the wrap (periodic).  Built once per grid and axis."""
     n = grid.counts[axis]
     lo, hi = (n - 1, 0) if grid.boundary == PERIODIC else (1, n - 2)
     ranges = ((slice(1, -1), slice(2, None), slice(None, -2)),
               (slice(0, 1), slice(1, 2), slice(lo, lo + 1)),
               (slice(n - 1, n), slice(hi, hi + 1), slice(n - 2, n - 1)))
-    return [[_key(grid, axis, s) for s in keys] for keys in ranges]
+    return tuple(tuple(_key(grid, axis, s) for s in keys) for keys in ranges)
 
 
 def array_gradient(grid, values):
@@ -277,55 +278,64 @@ def array_midpoint(grid, values):
     return tuple(faces)
 
 
-def array_laplacian(grid, values, out=None, term=None):
+def _node_stencil(grid, values, axis, kernel, out):
+    """kernel(upper, node, lower, out) at every node along ``axis``, into the
+    C-contiguous ``out``.  On the last axis it is one pass over the
+    flattened array, whose values at the wall nodes, where the flat
+    neighbours lie in the next or previous row, are then recomputed: so
+    NumPy iterates no strided interior."""
+    ranges = _neighbours(grid, axis)
+    if axis == grid.dim - 1:
+        flat = values.reshape(-1)
+        kernel(flat[2:], flat[1:-1], flat[:-2], _flat(out)[1:-1])
+        ranges = ranges[1:]
+    for nodes, hi, lo in ranges:
+        kernel(values[hi], values[nodes], values[lo], out[nodes])
+    return out
+
+
+def _second_difference(upper, node, lower, out):
+    """The undivided (upper - 2 node) + lower, into ``out``."""
+    np.multiply(node, 2.0, out=out)
+    np.subtract(upper, out, out=out)
+    out += lower
+
+
+def _difference(upper, node, lower, out):
+    np.subtract(upper, lower, out=out)
+
+
+def array_laplacian(grid, values, out=None, term=None, scaled=True):
     """Second-order 3-point Laplacian ((f_{i+1} - 2f_i) + f_{i-1})/h^2,
     summed over the axes in order onto zero, into ``out``.
 
-    ``out`` and ``term`` (new if None) are C-contiguous arrays of the shape
-    of ``values``, ``term`` scratch.  The last axis is one pass over the
-    flattened array, whose values at its wall nodes, where the flat
-    neighbours lie in the next or previous row, are then recomputed: so
-    NumPy iterates no strided interior.
+    With ``scaled`` False, the plain sum of the ``_second_difference`` along
+    every axis, with no division and no zero start: h^2 times the Laplacian
+    on a uniform grid, for the matvec, which folds 1/h^2 into its
+    coefficients.  ``out`` and ``term`` (new if None) are C-contiguous
+    arrays of the shape of ``values``, ``term`` scratch.
     """
     out = np.empty_like(values, order="C") if out is None else out
     term = np.empty_like(values, order="C") if term is None else term
-    last = grid.dim - 1
     for a in range(grid.dim):
-        acc = out if a == 0 else term
-        if a == last:
-            flat, mid = values.reshape(-1), _flat(acc)[1:-1]
-            np.multiply(flat[1:-1], 2.0, out=mid)
-            np.subtract(flat[2:], mid, out=mid)
-            mid += flat[:-2]
-        ranges = _neighbours(grid, a)
-        for nodes, hi, lo in ranges[1:] if a == last else ranges:
-            t = acc[nodes]
-            np.multiply(values[nodes], 2.0, out=t)
-            np.subtract(values[hi], t, out=t)
-            t += values[lo]
-        acc /= grid.spacing[a] ** 2
-        if a == 0:
-            out += 0.0  # 0 + t: a -0.0 term sums to +0.0, as onto zeros
-        else:
+        acc = _node_stencil(grid, values, a, _second_difference, out if a == 0 else term)
+        if scaled:
+            acc /= grid.spacing[a] ** 2
+        if a > 0:
             out += term
+        elif scaled:
+            out += 0.0  # 0 + t: a -0.0 term sums to +0.0, as onto zeros
     return out
 
 
 def array_central_difference(grid, values, axis, out=None):
     """Node-centered central difference (f_{i+1} - f_{i-1})/(2h), into
-    ``out`` (new if None, else C-contiguous); on the last axis one flat
-    pass and the wall nodes after, as in ``array_laplacian``.
+    ``out`` (new if None, else C-contiguous), by ``_node_stencil``.
 
     With ghost reflection the derivative vanishes at Neumann walls.
     """
     out = np.empty_like(values, order="C") if out is None else out
-    ranges = _neighbours(grid, axis)
-    if axis == grid.dim - 1:
-        flat = values.reshape(-1)
-        np.subtract(flat[2:], flat[:-2], out=_flat(out)[1:-1])
-        ranges = ranges[1:]
-    for nodes, hi, lo in ranges:
-        np.subtract(values[hi], values[lo], out=out[nodes])
+    _node_stencil(grid, values, axis, _difference, out)
     out /= 2 * grid.spacing[axis]
     return out
 

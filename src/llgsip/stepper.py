@@ -7,7 +7,8 @@ Each step solves the linear system
 
 matrix-free with restarted GMRES (m the previous, pointwise unit state; H
 the explicit non-exchange field; f an optional forcing), then renormalizes
-mt node by node back onto the unit sphere.  ``gmres`` is this module's own
+mt node by node back onto the unit sphere.  As m is unit, both sides take
+m x (m x w) as m(m.w) - w (``_torque``).  ``gmres`` is this module's own
 right-preconditioned solver, run to the fixed ``SolverConfig.rel_tol``, and
 every solve is preconditioned by the inverse of A's tangent-plane diffusion
 and precession, exact for uniform m up to float32 rounding (see
@@ -155,32 +156,44 @@ def _cross(a, b, out, plane=None):
     return out
 
 
-def _cross_terms(m, w, beta, gamma, cross=None, plane=None):
-    """beta m x w + gamma m x (m x w), pointwise on planes, written over
-    ``w``; ``cross`` (new if None) takes m x w, ``plane`` as for ``_cross``."""
-    c1 = _cross(m, w, np.empty_like(w) if cross is None else cross, plane)
-    c2 = _cross(m, c1, w, plane)
-    c1 *= beta
-    c2 *= gamma
-    c2 += c1
-    return c2
+def _torque(m, w, c_beta, c_gamma, cross=None, planes=None):
+    """c_beta m x w + c_gamma m x (m x w) for unit m, pointwise on planes,
+    as c_gamma (m (m.w) - w) + c_beta m x w, written over ``w``; the beta
+    term is skipped at c_beta = 0.  m.w is ((m0 w0) + m1 w1) + m2 w2.
+    ``cross`` (new if None) takes m x w, and ``planes`` (two components,
+    new if None) m.w and the scratch of ``_cross``."""
+    dot, plane = np.empty((2,) + w.shape[1:]) if planes is None else planes
+    np.multiply(m[0], w[0], out=dot)
+    for k in (1, 2):
+        dot += np.multiply(m[k], w[k], out=plane)
+    if c_beta != 0:
+        cross = _cross(m, w, np.empty_like(w) if cross is None else cross, plane)
+    for k in range(3):
+        np.subtract(np.multiply(m[k], dot, out=plane), w[k], out=w[k])
+    w *= c_gamma
+    if c_beta != 0:
+        cross *= c_beta
+        w += cross
+    return w
 
 
-def _apply_operator(grid, v, m, params, scratch=None, plane=None):
-    """A(v) on raw planes: the one definition of A.  ``scratch`` (shape
-    (2,) + v.shape, new if None) takes the Laplacian, which the result
-    overwrites, and its scratch, then m x lap v; ``plane`` is scratch of one
-    component's shape."""
-    lap, cross = np.empty((2,) + v.shape) if scratch is None else scratch
-    lap = array_laplacian(grid, v, out=lap, term=cross)
-    out = _cross_terms(m, lap, params.beta, params.gamma, cross, plane)
-    out *= params.dt
+def _apply_operator(grid, v, m, params, scratch=None, planes=None):
+    """A(v) = v + c_gamma (m (m.S) - S) + c_beta m x S on raw planes, the one
+    definition of A: S = h^2 lap_h v, the undivided second differences, and
+    c_beta, c_gamma = (beta, gamma) dt / h^2.  ``scratch`` (shape
+    (2,) + v.shape, new if None) takes S, which the result overwrites, and
+    its scratch, then m x S; ``planes`` are as for ``_torque``."""
+    s, cross = np.empty((2,) + v.shape) if scratch is None else scratch
+    s = array_laplacian(grid, v, out=s, term=cross, scaled=False)
+    scale = params.dt / grid.require_uniform() ** 2
+    out = _torque(m, s, params.beta * scale, params.gamma * scale, cross, planes)
     out += v
     return out
 
 
 def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) -> VectorField:
-    """Left-hand operator A(v) = v + dt*[beta m x lap v + gamma m x (m x lap v)]."""
+    """Left-hand operator A(v) = v + dt*[beta m x lap v + gamma m x (m x lap v)],
+    for pointwise unit ``m_prev`` on a uniform grid."""
     if v.grid != m_prev.grid:
         raise GridMismatchError("operand and previous state live on different grids")
     return VectorField(v.grid, _apply_operator(v.grid, v.data, m_prev.data, params))
@@ -205,10 +218,9 @@ def _build_rhs(m_prev, params, t_new, work):
     field, cross = work.fields
     if params.model.variant != EXCHANGE_ONLY:
         h_expl = explicit_field_apply(m_prev, params.model, _state_derivatives(m_prev, work),
-                                      out=field, plane=work.plane).data
-        terms = _cross_terms(m, h_expl, params.beta, params.gamma, cross, work.plane)
-        terms *= params.dt
-        rhs -= terms
+                                      out=field, plane=work.planes[0]).data
+        rhs -= _torque(m, h_expl, params.beta * params.dt, params.gamma * params.dt, cross,
+                       work.planes)
     if params.forcing is not None:
         f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new, out=field).data
         f *= params.dt
@@ -345,11 +357,11 @@ class StepWorkspace:
     krylov:     the ``krylov_workspace``
     start:      the start of the solve, which the solve overwrites with mt
     rhs:        the right-hand side
-    fields:     two fields of scratch: the matvec's Laplacian and cross
-                products, the explicit field, the forcing, the float32
-                preconditioner's two stacks, the energy's face arrays
+    fields:     two fields of scratch: the matvec's second differences
+                and cross product, the explicit field, the forcing, the
+                float32 preconditioner's two stacks, the energy's face arrays
     single:     m and three planes in float32, for the preconditioner
-    plane:      one component of scratch for the cross products
+    planes:     two components of scratch, for m.w and the cross products
     derivs:     the ``dmi_derivatives`` of the state ``derivs_of``, over the
                 first Krylov rows: valid from a step's energy to the next
                 solve
@@ -363,7 +375,7 @@ class StepWorkspace:
         self.rhs = np.empty(shape)
         self.fields = np.empty((2,) + shape)
         self.single = np.empty((2,) + shape, dtype=np.float32)
-        self.plane = np.empty(counts)
+        self.planes = np.empty((2,) + counts)
         self.derivs = None
         self.derivs_of = None
 
@@ -477,7 +489,7 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     def matvec(x):
         nonlocal matvecs
         matvecs += 1
-        return _apply_operator(grid, x, m, params, work.fields, work.plane)
+        return _apply_operator(grid, x, m, params, work.fields, work.planes)
 
     if x0 is None:
         x0 = VectorField(grid, work.start)
@@ -537,7 +549,7 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
     m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new, x0=x0,
                                                   work=work)
     squares = work.fields[0]
-    lengths = m_tilde.pointwise_norm(out=work.plane, scratch=squares)
+    lengths = m_tilde.pointwise_norm(out=work.planes[0], scratch=squares)
     m_new = normalize(m_tilde, lengths)
     min_length = float(np.min(lengths))
     derivs = None if params.model.variant == EXCHANGE_ONLY else _state_derivatives(m_new, work)
@@ -549,9 +561,9 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
         min_intermediate_length=min_length,
         energy=extended_energy(m_new, params.model, derivs, work.fields),
         max_length_error=_max_distance_from_one(
-            m_new.pointwise_norm(out=work.plane, scratch=squares)),
+            m_new.pointwise_norm(out=work.planes[0], scratch=squares)),
         max_orthogonality_error=_max_distance_from_one(
-            np.einsum("i...,i...->...", m_tilde.data, m_prev.data, out=work.plane)),
+            np.einsum("i...,i...->...", m_tilde.data, m_prev.data, out=work.planes[0])),
     )
     return m_new, m_tilde, report
 

@@ -20,8 +20,10 @@ from llgsip.grid import (
     PERIODIC,
     GridSpec,
     VectorField,
+    grad_l2_norm,
     gradient_apply,
     gradient_inner_product,
+    l2_norm,
 )
 from llgsip.stepper import SchemeParams, SolverConfig, StepReport, run
 
@@ -98,6 +100,24 @@ def test_error_norms_scale_linearly(rng):
     r1, r2 = record(1.0), record(2.0)
     assert r2.max_l2 == pytest.approx(2.0 * r1.max_l2, rel=1e-14)
     assert r2.l2_h1 == pytest.approx(2.0 * r1.l2_h1, rel=1e-14)
+
+
+@pytest.mark.parametrize("counts", [(6, 5), (4, 5, 3)])
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_error_accumulator_keeps_the_bits_of_fresh_norms(counts, boundary, rng):
+    # its own error field and scratch, reused over calls, change no bit
+    grid = GridSpec(counts, (0.5,) * len(counts), boundary=boundary)
+    exact = ExactSolution(m=lambda *xt: (np.sin(xt[0] + xt[-1]), np.cos(xt[1]), xt[0] * xt[1]))
+    times = [0.0, 0.1, 0.2, 0.3]
+    fields = [VectorField(grid, rng.standard_normal((3,) + counts)) for _ in times]
+    acc = accumulate(exact, times, fields, dt=0.1)
+    max_l2, sum_h1_sq = 0.0, 0.0
+    for k, (t, m) in enumerate(zip(times, fields)):
+        e = VectorField(grid, exact.sample(grid, t).data - m.data)
+        max_l2 = max(max_l2, l2_norm(e))
+        if k > 0:
+            sum_h1_sq += 0.1 * grad_l2_norm(e) ** 2
+    assert (acc.max_l2, acc.sum_h1_sq) == (max_l2, sum_h1_sq)
 
 
 def test_convergence_rate_arithmetic():
