@@ -20,23 +20,22 @@ def manufactured_solution(beta=1.0, gamma=1.0) -> ExactSolution:
     evaluated with the continuum Laplacian.  Since lap m_e = -2 m + m3 e3
     and |m_e| = 1, this is
         f = m_t + beta m3 (m2, -m1, 0) + gamma (m3^2 m - m3 e3).
-    The beta terms and the gamma part of f3 are written with product-to-sum
-    identities, e.g. m3 m2 = (sin(t-x+2y) + sin(3t+x+2y)) / 4, in a fixed
-    term order, so that the forcing, and with it the refinement tables and
-    Krylov iteration counts, reproduce bit for bit from version to version.
+    It is written from the per-axis factors sx, cx = sin, cos(t+x) and
+    sy, cy = sin, cos(t+y):
+        f = (cx a + sx b, cx b - sx a, cy - gamma sy cy^2),
+        a = cy + beta sy cy,  b = gamma sy^2 cy - sy,
+    so that on the broadcastable coordinates of ``VectorField.from_function``
+    it takes 1-D sines and cosines and two outer products per component.
+    The term order is fixed: the refinement tables and Krylov iteration
+    counts rest on these bits.
     """
 
     def forcing(x, y, t):
         sx, cx = np.sin(t + x), np.cos(t + x)
         sy, cy = np.sin(t + y), np.cos(t + y)
-        a, b = t - x + 2 * y, 3 * t + x + 2 * y
-        return (
-            gamma * sx * sy ** 2 * cy - sx * sy
-            + beta / 4 * np.sin(a) + beta / 4 * np.sin(b) + cx * cy,
-            -sx * cy + gamma * sy ** 2 * cx * cy - sy * cx
-            - beta / 4 * np.cos(a) + beta / 4 * np.cos(b),
-            (1.0 - gamma / 2 * np.sin(2 * t + 2 * y)) * cy,
-        )
+        a = cy + beta * sy * cy
+        b = gamma * sy ** 2 * cy - sy
+        return cx * a + sx * b, cx * b - sx * a, cy - gamma * sy * cy ** 2
 
     return ExactSolution(m=_manufactured_m, forcing=forcing)
 

@@ -15,27 +15,13 @@ from dataclasses import dataclass, field
 
 from . import effective_field
 from . import exact as exact_data
-from .diagnostics import (
-    ErrorAccumulator,
-    ErrorRecord,
-    FailureLog,
-    attach_rates,
-    skyrmion_number,
-)
+from .diagnostics import (ErrorAccumulator, ErrorRecord, FailureLog, attach_rates,
+                          skyrmion_number)
 from .effective_field import FieldModel
 from .exact import manufactured_solution
 from .grid import VectorField
-from .io import (
-    CSV_COLUMNS,
-    ConfigError,
-    ExperimentConfig,
-    report_row,
-    write_csv,
-    write_snapshot,
-    write_checkpoint,
-    read_checkpoint,
-    read_snapshot,
-)
+from .io import (CSV_COLUMNS, ConfigError, ExperimentConfig, read_checkpoint, read_snapshot,
+                 report_row, write_checkpoint, write_csv, write_snapshot)
 from .stepper import ENERGY_RISE, STEP_ERRORS, SchemeParams, SolverConfig, run
 
 
@@ -52,8 +38,9 @@ def _snapshot_path(config, stem):
 
 class _EnergyLog:
     """Run callback keeping the CSV rows of row 0 (the initial state, at
-    ``step`` and ``time``) and of every ``cadence``-th step; ``columns`` maps
-    each extra CSV column to the function of the state that fills it.
+    ``step`` and ``time``), of every ``cadence``-th step and, once ``finish``
+    is called, of the run's last step; ``columns`` maps each extra CSV
+    column to the function of the state that fills it.
 
     It checks every step, logged or not, and lists the failures in
     ``violations``: an energy rise since the step before above the model's
@@ -69,6 +56,7 @@ class _EnergyLog:
         self.rows = [[step, time, self.energy, 1.0, 0.0, 0, 0.0]
                      + [fn(initial) for fn in self.columns.values()]]
         self.failures = FailureLog()
+        self.last = None  # (report, state) of a step not yet logged
 
     @property
     def violations(self):
@@ -83,9 +71,16 @@ class _EnergyLog:
         self.energy = report.energy
         for what, message in report.invariant_failures().items():
             self.failures.add(what, message)
+        self.last = (report, m_new)
         if report.step_index % self.cadence == 0:
-            extra = [fn(m_new) for fn in self.columns.values()]
-            self.rows.append(report_row(report, extra=extra))
+            self.finish()
+
+    def finish(self):
+        """Log the last step taken if it is not yet logged."""
+        if self.last is not None:
+            report, m_new = self.last
+            self.rows.append(report_row(report, extra=[fn(m_new) for fn in self.columns.values()]))
+            self.last = None
 
     def series(self):
         """(step, time, energy, *extra columns) of every logged row."""
@@ -182,6 +177,7 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
         run(initial, params, SolverConfig(), steps, callbacks=callbacks)
+        log.finish()
         result.violations += [f"gamma={gamma:g}: {v}" for v in log.violations]
         result.energies[gamma] = log.series()
         log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
@@ -227,12 +223,9 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
     run(initial, params, SolverConfig(), steps, callbacks=[
         log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
                                                           report.step_index)])
+    log.finish()
     log.write(os.path.join(out, "blowup_energy.csv"))
-    return BlowupResult(
-        snapshots=snapshots,
-        energies=log.series(),
-        violations=log.violations,
-    )
+    return BlowupResult(snapshots=snapshots, energies=log.series(), violations=log.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +309,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         # from the bytes of a text snapshot of it
         write_checkpoint(res.state, last_path, res.time, res.step, params,
                          snapshot=None if binary else snap_path)
+    log.finish()
     log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     charge = skyrmion_number(res.state)
     target = MODE_CHARGE[config.mode]

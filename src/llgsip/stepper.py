@@ -8,7 +8,8 @@ Each step solves the linear system
 matrix-free with restarted GMRES (m the previous, pointwise unit state; H
 the explicit non-exchange field; f an optional forcing), then renormalizes
 mt node by node back onto the unit sphere.  As m is unit, both sides take
-m x (m x w) as m(m.w) - w (``_torque``).  ``gmres`` is this module's own
+beta m x w + gamma m x (m x w) as one 3x3 matrix per node, built once per
+solve (``_local_operator``).  ``gmres`` is this module's own
 right-preconditioned solver, run to the fixed ``SolverConfig.rel_tol``, and
 every solve is preconditioned by the inverse of A's tangent-plane diffusion
 and precession, exact for uniform m up to float32 rounding (see
@@ -45,14 +46,7 @@ import numpy as np
 
 from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, dmi_derivatives,
                               explicit_field_apply, extended_energy)
-from .grid import (
-    NEUMANN,
-    GridMismatchError,
-    VectorField,
-    array_laplacian,
-    carve,
-    l2_norm,
-)
+from .grid import NEUMANN, GridMismatchError, VectorField, array_laplacian, carve, l2_norm
 
 
 class SolverError(RuntimeError):
@@ -79,8 +73,9 @@ class SchemeParams:
     gamma:   damping coefficient, > 0
     dt:      time step, > 0
     model:   effective-field model
-    forcing: optional closure (x, y[, z], t) -> 3 components, sampled at
-             nodes and evaluated at the new (implicit) time
+    forcing: optional closure (x, y[, z], t) -> 3 components at the new
+             (implicit) time, sampled by ``VectorField.from_function``: a
+             product of per-axis factors takes each factor once per line
     """
 
     beta: float
@@ -156,37 +151,33 @@ def _cross(a, b, out, plane=None):
     return out
 
 
-def _torque(m, w, c_beta, c_gamma, cross=None, planes=None):
-    """c_beta m x w + c_gamma m x (m x w) for unit m, pointwise on planes,
-    as c_gamma (m (m.w) - w) + c_beta m x w, written over ``w``; the beta
-    term is skipped at c_beta = 0.  m.w is ((m0 w0) + m1 w1) + m2 w2.
-    ``cross`` (new if None) takes m x w, and ``planes`` (two components,
-    new if None) m.w and the scratch of ``_cross``."""
-    dot, plane = np.empty((2,) + w.shape[1:]) if planes is None else planes
-    np.multiply(m[0], w[0], out=dot)
-    for k in (1, 2):
-        dot += np.multiply(m[k], w[k], out=plane)
-    if c_beta != 0:
-        cross = _cross(m, w, np.empty_like(w) if cross is None else cross, plane)
-    for k in range(3):
-        np.subtract(np.multiply(m[k], dot, out=plane), w[k], out=w[k])
-    w *= c_gamma
-    if c_beta != 0:
-        cross *= c_beta
-        w += cross
-    return w
-
-
-def _apply_operator(grid, v, m, params, scratch=None, planes=None):
-    """A(v) = v + c_gamma (m (m.S) - S) + c_beta m x S on raw planes, the one
-    definition of A: S = h^2 lap_h v, the undivided second differences, and
-    c_beta, c_gamma = (beta, gamma) dt / h^2.  ``scratch`` (shape
-    (2,) + v.shape, new if None) takes S, which the result overwrites, and
-    its scratch, then m x S; ``planes`` are as for ``_torque``."""
-    s, cross = np.empty((2,) + v.shape) if scratch is None else scratch
-    s = array_laplacian(grid, v, out=s, term=cross, scaled=False)
+def _local_operator(grid, m, params, out=None, scratch=None):
+    """Q = c_gamma (m m^T - I) + c_beta [m]x at every node of the unit m,
+    shape (3, 3) + counts, with c_beta, c_gamma = (beta, gamma) dt / h^2 and
+    [m]x w = m x w; into ``out`` (new if None).  For unit m, Q S is
+    c_gamma m x (m x S) + c_beta m x S.  ``scratch`` (a field, new if None)
+    takes c_beta m; the beta term is skipped at beta = 0."""
     scale = params.dt / grid.require_uniform() ** 2
-    out = _torque(m, s, params.beta * scale, params.gamma * scale, cross, planes)
+    q = np.multiply(m[:, None], m, out=out)
+    q.reshape((9,) + m.shape[1:])[::4] -= 1.0  # the diagonal
+    q *= params.gamma * scale
+    if params.beta != 0:
+        cm = np.multiply(m, params.beta * scale, out=scratch)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            q[i, k] += cm[j]
+            q[i, j] -= cm[k]
+    return q
+
+
+def _apply_operator(grid, v, q, scratch=None):
+    """A(v) = v + Q S on raw planes, the one definition of A: S = h^2 lap_h v,
+    the undivided second differences, and Q the ``_local_operator`` of m.
+    ``scratch`` (shape (2,) + v.shape, new if None) takes S and its scratch,
+    then the result."""
+    s, out = np.empty((2,) + v.shape) if scratch is None else scratch
+    s = array_laplacian(grid, v, out=s, term=out, scaled=False)
+    np.einsum("ij...,j...->i...", q, s, out=out)
     out += v
     return out
 
@@ -196,7 +187,8 @@ def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) ->
     for pointwise unit ``m_prev`` on a uniform grid."""
     if v.grid != m_prev.grid:
         raise GridMismatchError("operand and previous state live on different grids")
-    return VectorField(v.grid, _apply_operator(v.grid, v.data, m_prev.data, params))
+    q = _local_operator(v.grid, m_prev.data, params)
+    return VectorField(v.grid, _apply_operator(v.grid, v.data, q))
 
 
 def _state_derivatives(m, work):
@@ -210,17 +202,17 @@ def _state_derivatives(m, work):
 
 
 def _build_rhs(m_prev, params, t_new, work):
-    """The right-hand side m - dt*[beta m x H + gamma m x (m x H)] + dt*f,
-    in ``work.rhs``."""
-    m = m_prev.data
+    """The right-hand side m - h^2 Q H + dt*f, Q the ``_local_operator`` of
+    m in ``work.local``, in ``work.rhs``."""
     rhs = work.rhs
-    np.copyto(rhs, m)
-    field, cross = work.fields
+    np.copyto(rhs, m_prev.data)
+    field, product = work.fields
     if params.model.variant != EXCHANGE_ONLY:
         h_expl = explicit_field_apply(m_prev, params.model, _state_derivatives(m_prev, work),
-                                      out=field, plane=work.planes[0]).data
-        rhs -= _torque(m, h_expl, params.beta * params.dt, params.gamma * params.dt, cross,
-                       work.planes)
+                                      out=field, plane=work.plane).data
+        qh = np.einsum("ij...,j...->i...", work.local, h_expl, out=product)
+        qh *= m_prev.grid.require_uniform() ** 2
+        rhs -= qh
     if params.forcing is not None:
         f = VectorField.from_function(m_prev.grid, params.forcing, t=t_new, out=field).data
         f *= params.dt
@@ -355,13 +347,15 @@ class StepWorkspace:
     allocate once and pass to each ``step``:
 
     krylov:     the ``krylov_workspace``
+    local:      the ``_local_operator`` Q of the solve's m, nine planes
     start:      the start of the solve, which the solve overwrites with mt
     rhs:        the right-hand side
     fields:     two fields of scratch: the matvec's second differences
-                and cross product, the explicit field, the forcing, the
-                float32 preconditioner's two stacks, the energy's face arrays
+                and result, c_beta m, the explicit field and Q H, the
+                forcing, the float32 preconditioner's two stacks, the
+                energy's face arrays
     single:     m and three planes in float32, for the preconditioner
-    planes:     two components of scratch, for m.w and the cross products
+    plane:      one component of scratch
     derivs:     the ``dmi_derivatives`` of the state ``derivs_of``, over the
                 first Krylov rows: valid from a step's energy to the next
                 solve
@@ -371,11 +365,12 @@ class StepWorkspace:
         counts = tuple(counts)
         shape = (3,) + counts
         self.krylov = krylov_workspace(shape, restart)
+        self.local = np.empty((3,) + shape)
         self.start = np.empty(shape)
         self.rhs = np.empty(shape)
         self.fields = np.empty((2,) + shape)
         self.single = np.empty((2,) + shape, dtype=np.float32)
-        self.planes = np.empty((2,) + counts)
+        self.plane = np.empty(counts)
         self.derivs = None
         self.derivs_of = None
 
@@ -484,12 +479,13 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
     if work is None:
         work = StepWorkspace(grid.counts, cfg.restart)
     m = m_prev.data
+    q = _local_operator(grid, m, params, out=work.local, scratch=work.fields[0])
     matvecs = 0
 
     def matvec(x):
         nonlocal matvecs
         matvecs += 1
-        return _apply_operator(grid, x, m, params, work.fields, work.planes)
+        return _apply_operator(grid, x, q, work.fields)
 
     if x0 is None:
         x0 = VectorField(grid, work.start)
@@ -549,7 +545,7 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
     m_tilde, iters, residual = solve_intermediate(m_prev, params, cfg, t_new, x0=x0,
                                                   work=work)
     squares = work.fields[0]
-    lengths = m_tilde.pointwise_norm(out=work.planes[0], scratch=squares)
+    lengths = m_tilde.pointwise_norm(out=work.plane, scratch=squares)
     m_new = normalize(m_tilde, lengths)
     min_length = float(np.min(lengths))
     derivs = None if params.model.variant == EXCHANGE_ONLY else _state_derivatives(m_new, work)
@@ -561,9 +557,9 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
         min_intermediate_length=min_length,
         energy=extended_energy(m_new, params.model, derivs, work.fields),
         max_length_error=_max_distance_from_one(
-            m_new.pointwise_norm(out=work.planes[0], scratch=squares)),
+            m_new.pointwise_norm(out=work.plane, scratch=squares)),
         max_orthogonality_error=_max_distance_from_one(
-            np.einsum("i...,i...->...", m_tilde.data, m_prev.data, out=work.planes[0])),
+            np.einsum("i...,i...->...", m_tilde.data, m_prev.data, out=work.plane)),
     )
     return m_new, m_tilde, report
 

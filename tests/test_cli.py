@@ -76,6 +76,26 @@ def test_converge_subcommand(tmp_path, capsys):
     assert (out / "converge_h_squared.csv").exists()
 
 
+def test_converge_table2_krylov_totals(tmp_path, monkeypatch):
+    # the krylov_iters of every StepReport, summed per level of
+    # converge_table2.cfg at levels 8/16/32: the work behind its table
+    totals = []
+    original = llgsip.experiments.run
+
+    def counted(*args, callbacks=(), **kwargs):
+        totals.append(0)
+
+        def count(report, *_):
+            totals[-1] += report.krylov_iters
+
+        return original(*args, callbacks=[*callbacks, count], **kwargs)
+
+    monkeypatch.setattr(llgsip.experiments, "run", counted)
+    cmd_converge(parse_config(CONFIG_DIR / "converge_table2.cfg",
+                              ["levels=8 16 32", f"out_dir={tmp_path}"]))
+    assert totals == [64, 99, 163]
+
+
 def test_converge_single_level_has_no_rates(tmp_path):
     cfg = parse_config(converge_cfg(tmp_path, tmp_path / "o", levels="8"))
     result = cmd_converge(cfg)
@@ -499,6 +519,19 @@ def test_resumed_skyrmion_energies_match_uninterrupted_run(tmp_path):
     resumed = np.concatenate((before["energy"], after["energy"][1:]))
     assert list(ref["step"]) == list(range(11))
     assert np.allclose(resumed, ref["energy"], rtol=1e-10, atol=0)
+
+
+def test_steady_skyrmion_csv_ends_at_the_step_it_stopped(tmp_path):
+    # the 16^2 smoke relaxation stops at step 73, between two rows of its
+    # cadence 20; the CSV logs that step too, the one the snapshot names
+    config = parse_config(CONFIG_DIR / "skyrmion_q1_smoke.cfg",
+                          ["grid=16 16", "steady_tol=1e-2", f"out_dir={tmp_path}"])
+    result = cmd_skyrmion(config)
+    _, time, step = llgsip.io.read_snapshot(result.snapshot_path)
+    rows = np.genfromtxt(tmp_path / "skyrmion_q1.csv", delimiter=",", names=True)
+    assert result.steady and step % config.cadence != 0
+    assert rows["step"][-1] == step and rows["time"][-1] == time
+    assert list(rows["step"][:-1]) == list(range(0, step, config.cadence))
 
 
 @pytest.mark.parametrize("snapshot_format", ["text", "binary"])

@@ -41,6 +41,37 @@ def test_forcing_is_the_residual_of_the_solution(rng, beta, gamma):
     assert np.max(np.abs(as_array(exact.forcing(x, y, t)) - residual)) <= TOL
 
 
+def product_to_sum_forcing(beta, gamma):
+    """The forcing with its beta terms and the gamma part of f3 written by
+    product-to-sum identities, e.g. m3 m2 = (sin(t-x+2y) + sin(3t+x+2y)) / 4."""
+
+    def forcing(x, y, t):
+        sx, cx = np.sin(t + x), np.cos(t + x)
+        sy, cy = np.sin(t + y), np.cos(t + y)
+        a, b = t - x + 2 * y, 3 * t + x + 2 * y
+        return (
+            gamma * sx * sy ** 2 * cy - sx * sy
+            + beta / 4 * np.sin(a) + beta / 4 * np.sin(b) + cx * cy,
+            -sx * cy + gamma * sy ** 2 * cx * cy - sy * cx
+            - beta / 4 * np.cos(a) + beta / 4 * np.cos(b),
+            (1.0 - gamma / 2 * np.sin(2 * t + 2 * y)) * cy,
+        )
+
+    return forcing
+
+
+@pytest.mark.parametrize("beta, gamma", [(1.0, 1.0), (-1.7, 0.3), (2.5, 3.0), (0.0, 0.1)])
+@pytest.mark.parametrize("t", [0.0, 0.37, 2.9])
+def test_factored_forcing_matches_product_to_sum_form(beta, gamma, t):
+    # on the sparse node coordinates that VectorField.from_function passes
+    n = 64
+    x, y = np.meshgrid(*(np.arange(n) * (2 * np.pi / n),) * 2, indexing="ij", sparse=True)
+    new = as_array(manufactured_solution(beta, gamma).forcing(x, y, t))
+    old = as_array(product_to_sum_forcing(beta, gamma)(x, y, t))
+    assert new.shape == old.shape == (n, n, 3)
+    assert np.max(np.abs(new - old)) <= 2e-15 * np.max(np.abs(old))
+
+
 def test_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(llgsip.__file__)))
     code = "import sys, llgsip; sys.exit('sympy' in sys.modules)"

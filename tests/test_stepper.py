@@ -41,6 +41,7 @@ from llgsip.stepper import (
     _axis_eigenbasis,
     _cross,
     _extrapolated_start,
+    _local_operator,
     _spectral_factors,
     _tangent_plane_preconditioner,
     gmres,
@@ -117,22 +118,45 @@ def undivided_second_differences(grid, values):
     return functools.reduce(np.add, terms)
 
 
+def per_node_local_operator(m, c_beta, c_gamma):
+    """c_gamma (m m^T - I) + c_beta [m]x assembled node by node, with
+    np.outer and the skew matrix of m, shape (3, 3) + counts."""
+    q = np.empty((3, 3) + m.shape[1:])
+    for node in np.ndindex(*m.shape[1:]):
+        m0, m1, m2 = mi = m[(slice(None),) + node]
+        skew = np.array([[0.0, -m2, m1], [m2, 0.0, -m0], [-m1, m0, 0.0]])
+        q[(slice(None),) * 2 + node] = c_gamma * (np.outer(mi, mi) - np.eye(3)) + c_beta * skew
+    return q
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_local_operator_equals_per_node_assembly(boundary, rng):
+    # Q w = c_gamma m x (m x w) + c_beta m x w for unit m, one 3x3 per node
+    for beta, grid in itertools.product((0.0, -1.7), small_grids(boundary)):
+        params = SchemeParams(beta=beta, gamma=0.3, dt=0.05)
+        m, w = random_unit_field(grid, rng).data, random_field(grid, rng).data
+        c_beta, c_gamma = (c * (params.dt / grid.spacing[0] ** 2) for c in (beta, params.gamma))
+        q = _local_operator(grid, m, params)
+        assert np.array_equal(q, per_node_local_operator(m, c_beta, c_gamma))
+        c1 = np.cross(m, w, axis=0)
+        ref = c_beta * c1 + c_gamma * np.cross(m, c1, axis=0)
+        err = np.einsum("ij...,j...->i...", q, w) - ref
+        assert np.max(np.abs(err)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
 def test_operator_equals_np_cross_formula(boundary, rng):
-    # the matvec keeps the bits of v + c_gamma (m (m.S) - S) + c_beta m x S,
-    # S the undivided second differences and c = (beta, gamma) (dt / h^2), and
-    # for unit m agrees with v + dt*(beta m x lap v + gamma m x (m x lap v))
+    # the matvec keeps the bits of v + Q S, S the undivided second differences
+    # and Q = c_gamma (m m^T - I) + c_beta [m]x with c = (beta, gamma) (dt / h^2),
+    # and for unit m agrees with v + dt*(beta m x lap v + gamma m x (m x lap v))
     for beta, grid in itertools.product((0.0, -1.7), small_grids(boundary)):
         params = SchemeParams(beta=beta, gamma=0.3, dt=0.05)
         m, v = random_unit_field(grid, rng).data, random_field(grid, rng).data
         out = operator_apply(VectorField(grid, v), VectorField(grid, m), params).data
         s = undivided_second_differences(grid, v)
         c_beta, c_gamma = (c * (params.dt / grid.spacing[0] ** 2) for c in (beta, params.gamma))
-        dot = (m[0] * s[0] + m[1] * s[1]) + m[2] * s[2]
-        torque = c_gamma * (m * dot - s)
-        if beta != 0:
-            torque = torque + c_beta * np.cross(m, s, axis=0)
-        assert np.array_equal(out, v + torque)
+        q = per_node_local_operator(m, c_beta, c_gamma)
+        assert np.array_equal(out, v + np.einsum("ij...,j...->i...", q, s))
         c1 = np.cross(m, array_laplacian(grid, v), axis=0)
         ref = v + params.dt * (beta * c1 + params.gamma * np.cross(m, c1, axis=0))
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(out - v))
@@ -1068,9 +1092,11 @@ def test_buffered_matvec_keeps_the_bits_of_operator_apply(boundary, beta, rng):
         grid = GridSpec(counts, (0.4,) * len(counts), boundary=boundary)
         work = StepWorkspace(counts, 3)
         m = random_unit_field(grid, rng)
+        q = _local_operator(grid, m.data, params, out=work.local, scratch=work.fields[0])
+        assert bits(q) == bits(_local_operator(grid, m.data, params))
         for _ in range(3):
             v = VectorField(grid, signed_zeros(rng.standard_normal((3,) + counts), rng))
-            out = _apply_operator(grid, v.data, m.data, params, work.fields, work.planes)
+            out = _apply_operator(grid, v.data, q, work.fields)
             assert np.shares_memory(out, work.fields)  # a buffer of the workspace
             assert bits(out) == bits(operator_apply(v, m, params).data)
 
