@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective_field import UnsupportedConfigurationError, planar_derivatives
-from .grid import VectorField, gradient_apply, l2_norm, grad_l2_norm, node_sum
+from .effective_field import planar_derivatives
+from .grid import VectorField, _cross, gradient_apply, l2_norm, grad_l2_norm, node_sum
 
 
 @dataclass
@@ -95,22 +95,11 @@ def skyrmion_number(m: VectorField) -> float:
     profile with m3 = -1 at the core and m3 = +1 far away carries charge
     +1 = (m3(inf) - m3(0)) / 2.
     """
-    if m.grid.dim != 2:
-        raise UnsupportedConfigurationError("skyrmion number is defined on 2D grids")
     d1, d2 = planar_derivatives(m)
-    # m_i (D2 m x D1 m)_i, each product and difference as np.cross forms it,
-    # summed over i as node_sum would: one plane at a time
-    total, term, product = np.empty((3,) + m.grid.counts)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(d2[j], d1[k], out=term)
-        term -= np.multiply(d2[k], d1[j], out=product)
-        term *= m.data[i]
-        if i == 0:
-            total, term = term, total
-        else:
-            total += term
-    return float(m.grid.cell_volume * node_sum(m.grid, total) / (4.0 * np.pi))
+    # m . (D2 m x D1 m), with the products and differences of np.cross
+    charge = _cross(d2, d1, np.empty_like(m.data))
+    charge *= m.data
+    return float(m.grid.cell_volume * node_sum(m.grid, charge) / (4.0 * np.pi))
 
 
 class FailureLog:

@@ -62,40 +62,34 @@ class FieldModel:
 def _require_2d(m):
     if m.grid.dim != 2:
         raise UnsupportedConfigurationError(
-            "the extended (anisotropy + DMI) model is planar; got a "
-            f"{m.grid.dim}D grid"
+            "the extended (anisotropy + DMI) model and the skyrmion number are "
+            f"planar; got a {m.grid.dim}D grid"
         )
 
 
-def planar_derivatives(m: VectorField):
+def planar_derivatives(m: VectorField, out=None):
     """(D1 m, D2 m): the central differences of all three components along
-    the two planar axes, as the skyrmion number takes them."""
-    return tuple(array_central_difference(m.grid, m.data, axis) for axis in (0, 1))
+    the two planar axes, shape (2, 3) + counts, into ``out`` (new if None).
+    The DMI field, the DMI energy and the skyrmion number take them here."""
+    _require_2d(m)
+    out = np.empty((2,) + m.data.shape) if out is None else out
+    for axis in (0, 1):
+        array_central_difference(m.grid, m.data, axis, out=out[axis])
+    return out
 
 
-def dmi_derivatives(m: VectorField, out=None):
-    """(D1 (m2, m3), D2 m), which hold the central differences the DMI field
-    and the DMI energy take, laid over ``out`` (new arrays if None): one
-    call per axis, each on C-contiguous components."""
-    counts = m.grid.counts
-    d1, d2 = carve(out, (2,) + counts, (3,) + counts)
-    array_central_difference(m.grid, m.data[1:], 0, out=d1)
-    array_central_difference(m.grid, m.data, 1, out=d2)
-    return d1, d2
-
-
-def explicit_field_apply(m: VectorField, model: FieldModel, derivs=None, out=None,
-                         plane=None) -> VectorField:
+def explicit_field_apply(m: VectorField, model: FieldModel, out=None, plane=None,
+                         scratch=None) -> VectorField:
     """Non-exchange part of the effective field, evaluated at the nodes.
 
-    ``derivs`` are m's ``dmi_derivatives`` (taken here if None); the field
-    is written into ``out`` and ``plane`` is scratch of one component's
-    shape (new arrays if None).
+    The field is written into ``out``, ``plane`` is scratch of one
+    component's shape and ``scratch`` takes m's ``planar_derivatives`` (new
+    arrays if None).
     """
     if model.variant == EXCHANGE_ONLY:
         return VectorField.zeros(m.grid)
-    _require_2d(m)
-    (d1m2, d1m3), (d2m1, _, d2m3) = dmi_derivatives(m) if derivs is None else derivs
+    derivs, = carve(scratch, (2,) + m.data.shape)
+    (_, d1m2, d1m3), (d2m1, _, d2m3) = planar_derivatives(m, derivs)
     out = np.empty((3,) + m.grid.counts) if out is None else out
     two_lam = 2.0 * model.lam
     # each component in the order of a sum onto zeros
@@ -113,16 +107,17 @@ def exchange_energy(m: VectorField, scratch=None) -> float:
     return 0.5 * grad_l2_norm(m, scratch) ** 2
 
 
-def dmi_energy(m: VectorField, lam, derivs=None, scratch=None) -> float:
+def dmi_energy(m: VectorField, lam, scratch=None) -> float:
     """lam * sum_nodes (curl m) . m, weighted like the l2 inner product.
 
-    ``derivs`` are m's ``dmi_derivatives`` (taken here if None), and
-    ``scratch`` (new arrays if None) takes two planes.
+    ``scratch`` (new arrays if None) takes m's ``planar_derivatives`` and
+    two planes.
     """
     m1, m2, m3 = m.data
-    (d1m2, d1m3), (d2m1, _, d2m3) = dmi_derivatives(m) if derivs is None else derivs
+    counts = m.grid.counts
+    derivs, curl_dot_m, term = carve(scratch, (2,) + m.data.shape, counts, counts)
+    (_, d1m2, d1m3), (d2m1, _, d2m3) = planar_derivatives(m, derivs)
     # planar curl: (D2 m3, -D1 m3, D1 m2 - D2 m1)
-    curl_dot_m, term = carve(scratch, m.grid.counts, m.grid.counts)
     np.multiply(m1, d2m3, out=curl_dot_m)
     curl_dot_m -= np.multiply(m2, d1m3, out=term)
     term = np.subtract(d1m2, d2m1, out=term)
@@ -139,20 +134,19 @@ def anisotropy_energy(m: VectorField, kappa, scratch=None) -> float:
     return float(0.5 * kappa * m.grid.cell_volume * node_sum(m.grid, planar))
 
 
-def extended_energy(m: VectorField, model: FieldModel, derivs=None, scratch=None) -> float:
+def extended_energy(m: VectorField, model: FieldModel, scratch=None) -> float:
     """Total discrete energy of the configured model.
 
     Exchange-only reduces to the exchange energy.  The DMI/curl term uses
     the same central differences as the explicit field, so field and energy
     are consistent to second order (not an exact discrete gradient pair).
-    ``derivs`` are m's ``dmi_derivatives`` (taken here if None);
-    ``scratch`` (new arrays if None) holds every temporary, 4/3 of
-    ``m.data`` at most.
+    ``scratch`` (new arrays if None) holds every temporary in turn: the
+    face arrays of the exchange energy, 4/3 of ``m.data``, then the
+    ``planar_derivatives`` and two planes of the DMI energy, 8/3 of it.
     """
-    if model.variant == EXCHANGE_ONLY:
-        return exchange_energy(m, scratch)
-    _require_2d(m)
     e = exchange_energy(m, scratch)
+    if model.variant == EXCHANGE_ONLY:
+        return e
     e += anisotropy_energy(m, model.kappa, scratch)
-    e += dmi_energy(m, model.lam, derivs, scratch)
+    e += dmi_energy(m, model.lam, scratch)
     return e

@@ -38,9 +38,10 @@ def _snapshot_path(config, stem):
 
 class _EnergyLog:
     """Run callback keeping the CSV rows of row 0 (the initial state, at
-    ``step`` and ``time``), of every ``cadence``-th step and, once ``finish``
-    is called, of the run's last step; ``columns`` maps each extra CSV
-    column to the function of the state that fills it.
+    ``step`` and ``time``), of every ``cadence``-th step and of the last
+    step taken, in ``last``; ``columns`` maps each extra CSV column to the
+    function of the state that fills it.  ``series`` and ``write`` log the
+    last step first if its row is not yet kept.
 
     It checks every step, logged or not, and lists the failures in
     ``violations``: an energy rise since the step before above the model's
@@ -56,7 +57,7 @@ class _EnergyLog:
         self.rows = [[step, time, self.energy, 1.0, 0.0, 0, 0.0]
                      + [fn(initial) for fn in self.columns.values()]]
         self.failures = FailureLog()
-        self.last = None  # (report, state) of a step not yet logged
+        self.last = None  # (report, state) of the last step taken
 
     @property
     def violations(self):
@@ -73,21 +74,21 @@ class _EnergyLog:
             self.failures.add(what, message)
         self.last = (report, m_new)
         if report.step_index % self.cadence == 0:
-            self.finish()
+            self._log_last()
 
-    def finish(self):
-        """Log the last step taken if it is not yet logged."""
-        if self.last is not None:
+    def _log_last(self):
+        """The rows, with the last step taken logged if it is not yet."""
+        if self.last is not None and self.rows[-1][0] != self.last[0].step_index:
             report, m_new = self.last
             self.rows.append(report_row(report, extra=[fn(m_new) for fn in self.columns.values()]))
-            self.last = None
+        return self.rows
 
     def series(self):
         """(step, time, energy, *extra columns) of every logged row."""
-        return [(row[0], row[1], row[2], *row[len(CSV_COLUMNS):]) for row in self.rows]
+        return [(row[0], row[1], row[2], *row[len(CSV_COLUMNS):]) for row in self._log_last()]
 
     def write(self, path):
-        write_csv(self.rows, path, extra_columns=list(self.columns))
+        write_csv(self._log_last(), path, extra_columns=list(self.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,6 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
         run(initial, params, SolverConfig(), steps, callbacks=callbacks)
-        log.finish()
         result.violations += [f"gamma={gamma:g}: {v}" for v in log.violations]
         result.energies[gamma] = log.series()
         log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
@@ -223,7 +223,6 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
     run(initial, params, SolverConfig(), steps, callbacks=[
         log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
                                                           report.step_index)])
-    log.finish()
     log.write(os.path.join(out, "blowup_energy.csv"))
     return BlowupResult(snapshots=snapshots, energies=log.series(), violations=log.violations)
 
@@ -288,19 +287,15 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     last_path = os.path.join(out, f"skyrmion_{tag}_last.ckpt")
     log = _EnergyLog(initial, model, columns={"Q": skyrmion_number},
                      cadence=config.cadence, step=start_index, time=t_start)
-    last = {}  # the last completed step: state, time, step
-
-    def keep(report, m_prev, m_tilde, m_new):
-        last.update(state=m_new, time=report.time, step=report.step_index)
-
     try:
-        res = run(initial, params, SolverConfig(), budget, callbacks=[log, keep],
+        res = run(initial, params, SolverConfig(), budget, callbacks=[log],
                   steady_tol=config.steady_tol, t_start=t_start,
                   start_index=start_index, override_unit_check=True)
     except STEP_ERRORS:
         # a failed step: keep the last good state for a resumed run
-        if last:
-            write_checkpoint(last["state"], last_path, last["time"], last["step"], params)
+        if log.last is not None:
+            report, state = log.last
+            write_checkpoint(state, last_path, report.time, report.step_index, params)
         raise
     snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
     write_snapshot(res.state, snap_path, time=res.time, step=res.step, binary=binary)
@@ -309,7 +304,6 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         # from the bytes of a text snapshot of it
         write_checkpoint(res.state, last_path, res.time, res.step, params,
                          snapshot=None if binary else snap_path)
-    log.finish()
     log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     charge = skyrmion_number(res.state)
     target = MODE_CHARGE[config.mode]

@@ -212,6 +212,18 @@ def carve(buf, *shapes, dtype=np.float64):
     return arrays
 
 
+def _cross(a, b, out, plane=None):
+    """out = a x b over the leading axis, with the products and differences
+    of np.cross in its order (so the same bits), but no casts or copies;
+    ``plane`` (new if None) is scratch of one component's shape."""
+    plane = np.empty_like(out[0]) if plane is None else plane
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= np.multiply(a[k], b[j], out=plane)
+    return out
+
+
 def _key(grid, axis, s):
     """Index key taking ``s`` along spatial ``axis``, all of every other axis."""
     return (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)

@@ -44,9 +44,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, dmi_derivatives,
-                              explicit_field_apply, extended_energy)
-from .grid import NEUMANN, GridMismatchError, VectorField, array_laplacian, carve, l2_norm
+from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, explicit_field_apply,
+                              extended_energy)
+from .grid import (NEUMANN, GridMismatchError, VectorField, _cross, array_laplacian, carve,
+                   l2_norm)
 
 
 class SolverError(RuntimeError):
@@ -139,18 +140,6 @@ class StepReport:
         return failures
 
 
-def _cross(a, b, out, plane=None):
-    """out = a x b over the leading axis, with the products and differences
-    of np.cross in its order (so the same bits), but no casts or copies;
-    ``plane`` (new if None) is scratch of one component's shape."""
-    plane = np.empty_like(out[0]) if plane is None else plane
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= np.multiply(a[k], b[j], out=plane)
-    return out
-
-
 def _local_operator(grid, m, params, out=None, scratch=None):
     """Q = c_gamma (m m^T - I) + c_beta [m]x at every node of the unit m,
     shape (3, 3) + counts, with c_beta, c_gamma = (beta, gamma) dt / h^2 and
@@ -191,25 +180,16 @@ def operator_apply(v: VectorField, m_prev: VectorField, params: SchemeParams) ->
     return VectorField(v.grid, _apply_operator(v.grid, v.data, q))
 
 
-def _state_derivatives(m, work):
-    """The ``dmi_derivatives`` of the state m in ``work``, taken once per
-    state: the energy of m^(n+1) and the explicit field of the step from it
-    share them.  ``work.derivs_of`` is the array they were taken of."""
-    if work.derivs_of is not m.data:
-        work.derivs = dmi_derivatives(m, out=work.krylov[:2])
-        work.derivs_of = m.data
-    return work.derivs
-
-
 def _build_rhs(m_prev, params, t_new, work):
     """The right-hand side m - h^2 Q H + dt*f, Q the ``_local_operator`` of
-    m in ``work.local``, in ``work.rhs``."""
+    m in ``work.local``, in ``work.rhs``; H takes its derivatives in the
+    Krylov rows, idle before the solve."""
     rhs = work.rhs
     np.copyto(rhs, m_prev.data)
     field, product = work.fields
     if params.model.variant != EXCHANGE_ONLY:
-        h_expl = explicit_field_apply(m_prev, params.model, _state_derivatives(m_prev, work),
-                                      out=field, plane=work.plane).data
+        h_expl = explicit_field_apply(m_prev, params.model, out=field, plane=work.plane,
+                                      scratch=work.krylov).data
         qh = np.einsum("ij...,j...->i...", work.local, h_expl, out=product)
         qh *= m_prev.grid.require_uniform() ** 2
         rhs -= qh
@@ -352,13 +332,12 @@ class StepWorkspace:
     rhs:        the right-hand side
     fields:     two fields of scratch: the matvec's second differences
                 and result, c_beta m, the explicit field and Q H, the
-                forcing, the float32 preconditioner's two stacks, the
-                energy's face arrays
+                forcing, the float32 preconditioner's two stacks
     single:     m and three planes in float32, for the preconditioner
     plane:      one component of scratch
-    derivs:     the ``dmi_derivatives`` of the state ``derivs_of``, over the
-                first Krylov rows: valid from a step's energy to the next
-                solve
+
+    The Krylov rows are idle outside the solve, so the explicit field
+    before it and the energy after it take their scratch there.
     """
 
     def __init__(self, counts, restart):
@@ -371,8 +350,6 @@ class StepWorkspace:
         self.fields = np.empty((2,) + shape)
         self.single = np.empty((2,) + shape, dtype=np.float32)
         self.plane = np.empty(counts)
-        self.derivs = None
-        self.derivs_of = None
 
 
 def gmres(matvec, b, x0, *, rtol, restart, max_iter, psolve=None, callback=None,
@@ -414,7 +391,7 @@ def gmres(matvec, b, x0, *, rtol, restart, max_iter, psolve=None, callback=None,
     r = np.subtract(b, matvec(x), out=basis[0])
     r_norm = np.linalg.norm(r)
     for _ in range(max_iter):
-        if r_norm <= target:
+        if not r_norm > target:  # NaN stops too
             break
         hess = np.zeros((restart + 1, restart))
         g = np.zeros(restart + 1)
@@ -491,7 +468,6 @@ def solve_intermediate(m_prev: VectorField, params: SchemeParams, cfg: SolverCon
         x0 = VectorField(grid, work.start)
         np.copyto(x0.data, m)
     rhs = _build_rhs(m_prev, params, t_new, work)
-    work.derivs_of = None  # the solve writes over them
     residuals = []
     # rtol is relative to ||rhs||, so a better start does not loosen the solve
     x, residual = gmres(
@@ -548,14 +524,13 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
     lengths = m_tilde.pointwise_norm(out=work.plane, scratch=squares)
     m_new = normalize(m_tilde, lengths)
     min_length = float(np.min(lengths))
-    derivs = None if params.model.variant == EXCHANGE_ONLY else _state_derivatives(m_new, work)
     report = StepReport(
         step_index=step_index,
         time=float(t_new),
         krylov_iters=iters,
         residual=residual,
         min_intermediate_length=min_length,
-        energy=extended_energy(m_new, params.model, derivs, work.fields),
+        energy=extended_energy(m_new, params.model, work.krylov),
         max_length_error=_max_distance_from_one(
             m_new.pointwise_norm(out=work.plane, scratch=squares)),
         max_orthogonality_error=_max_distance_from_one(
@@ -565,7 +540,10 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
 
 
 def ingest_initial(initial: VectorField, override=False):
-    """Renormalize near-unit input; reject anything farther off unless overridden."""
+    """Renormalize near-unit input; reject anything farther off unless
+    overridden, and non-finite input always."""
+    if not np.all(np.isfinite(initial.data)):
+        raise ValueError("initial data is not finite")
     drift = float(np.max(np.abs(initial.pointwise_norm() - 1.0)))
     if drift > 1e-12 and not override:
         raise ValueError(

@@ -674,6 +674,21 @@ def test_energy_log_flags_each_broken_invariant(name, value, message):
     assert [row[0] for row in log.rows] == [0, 2, 4]
 
 
+def test_energy_log_writes_the_last_step_once(tmp_path):
+    # the last step, off the cadence, is logged by series and write, once,
+    # and stays in ``last``
+    m = VectorField.constant(GridSpec((4, 4), (0.5, 0.5)), (0.0, 0.0, 1.0))
+    log = _EnergyLog(m, FieldModel.exchange_only(), cadence=3)
+    for k in range(1, 5):
+        log(clean_report(k), m, m, m)
+    assert [row[0] for row in log.rows] == [0, 3]
+    assert [row[0] for row in log.series()] == [0, 3, 4]
+    path = tmp_path / "energy.csv"
+    log.write(path)
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["0", "3", "4"]
+    assert log.last[0].step_index == 4 and len(log.rows) == 3
+
+
 def test_energy_log_shows_few_messages_per_invariant_and_counts_the_rest():
     # a systematic length fault on every step does not hide one energy rise
     m = VectorField.constant(GridSpec((4, 4), (0.5, 0.5)), (0.0, 0.0, 1.0))

@@ -20,6 +20,8 @@ from llgsip.grid import (
     PERIODIC,
     GridSpec,
     VectorField,
+    _node_weights,
+    array_central_difference,
     grad_l2_norm,
     gradient_apply,
     gradient_inner_product,
@@ -164,6 +166,25 @@ def test_skyrmion_number_matches_per_node_loop(boundary, rng):
         scale += abs(term)
     factor = grid.cell_volume / (4 * np.pi)
     assert abs(skyrmion_number(m) - factor * total) <= 1e-13 * factor * scale
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_skyrmion_number_keeps_the_bits_of_a_per_component_sum(boundary, rng):
+    # m_i (D2 m x D1 m)_i formed one component at a time and summed over i
+    # in order, then weighted: the same operations as the cross product
+    # over planes contracted by node_sum
+    for counts in ((9, 7), (33, 32), (64, 64)):
+        grid = GridSpec(counts, (0.3, 0.3), boundary=boundary)
+        m = random_unit_field(grid, rng)
+        d1, d2 = (array_central_difference(grid, m.data, axis) for axis in (0, 1))
+        total = 0.0
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            total = total + (d2[j] * d1[k] - d2[k] * d1[j]) * m.data[i]
+        if boundary == NEUMANN:
+            total = total * _node_weights(grid)
+        ref = float(grid.cell_volume * np.sum(total) / (4.0 * np.pi))
+        assert skyrmion_number(m) == ref
 
 
 def seed_field(n=256, h=0.1):

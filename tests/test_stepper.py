@@ -20,13 +20,14 @@ import llgsip.stepper
 from llgsip.diagnostics import ExactSolution
 from llgsip.exact import (blowup_initial, dissipation_initial, manufactured_solution,
                           skyrmion_initial)
-from llgsip.effective_field import (FieldModel, dmi_derivatives, exchange_energy,
-                                   explicit_field_apply, extended_energy)
+from llgsip.effective_field import (FieldModel, exchange_energy, explicit_field_apply,
+                                   extended_energy, planar_derivatives)
 from llgsip.grid import (
     NEUMANN,
     PERIODIC,
     GridSpec,
     VectorField,
+    _cross,
     array_central_difference,
     array_laplacian,
     grad_l2_norm,
@@ -39,7 +40,6 @@ from llgsip.stepper import (
     _along_axis,
     _apply_operator,
     _axis_eigenbasis,
-    _cross,
     _extrapolated_start,
     _local_operator,
     _spectral_factors,
@@ -102,7 +102,7 @@ def test_cross_equals_np_cross(rng):
         a, b = rng.standard_normal((2, 3) + counts)
         ref = np.moveaxis(np.cross(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
         assert np.array_equal(_cross(a, b, np.empty_like(a)), ref)
-        assert np.array_equal(np.cross(a, b, axis=0), ref)  # as skyrmion_number takes it
+        assert np.array_equal(np.cross(a, b, axis=0), ref)
 
 
 def undivided_second_differences(grid, values):
@@ -486,6 +486,17 @@ def test_solver_error_carries_residual_history(rng, monkeypatch):
         solve_intermediate(m, params, SolverConfig(), t_new=0.5)
     history = failure.value.residuals
     assert len(history) == 3 and all(0 < r < np.inf for r in history)
+
+
+def test_nan_forcing_fails_within_one_cycle(rng):
+    # a NaN right-hand side stops GMRES at once instead of taking every
+    # restart cycle
+    m = random_unit_field(GridSpec((16, 16), (0.3, 0.3)), rng)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.1,
+                          forcing=lambda x, y, t: (np.nan * x, 0.0 * y, 0.0 * y))
+    with pytest.raises(SolverError) as failure:
+        run(m, params, SolverConfig(), 1)
+    assert len(failure.value.residuals) <= SolverConfig.restart
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -958,6 +969,17 @@ def test_ingest_initial_reports_drift(rng):
     assert np.max(np.abs(state.pointwise_norm() - 1.0)) <= 1e-15
 
 
+@pytest.mark.parametrize("override", [False, True])
+def test_non_finite_initial_data_is_rejected(override, rng):
+    m = random_unit_field(GridSpec((16, 16), (0.5, 0.5)), rng)
+    m.data[1, 3, 5] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        ingest_initial(m, override=override)
+    params = SchemeParams(beta=1.0, gamma=1.0, dt=0.1)
+    with pytest.raises(ValueError, match="not finite"):
+        run(m, params, SolverConfig(), 2, override_unit_check=override)
+
+
 # ---------------------------------------------------------------------------
 # renormalization error relations
 # ---------------------------------------------------------------------------
@@ -1163,33 +1185,33 @@ def test_step_allocates_at_most_two_fields_after_the_first(case):
     assert len(peaks) == 5 and max(peaks) <= 2.0, peaks
 
 
-def test_one_set_of_dmi_derivatives_per_state(monkeypatch):
-    # the energy of m^(n+1) and the explicit field of the step from it share
-    # the derivatives: two central differences per step, and two more for
-    # the initial state; each set is that of the state it is used for
-    differences = []
-    original = llgsip.effective_field.array_central_difference
-
-    def counted(*args, **kwargs):
-        differences.append(args[2])
-        return original(*args, **kwargs)
-
-    checked = []
-
-    def checked_field(m, model, derivs=None, **kwargs):
-        fresh = dmi_derivatives(m)
-        assert all(bits(a) == bits(b) for a, b in zip(derivs, fresh))
-        checked.append(1)
-        return explicit_field_apply(m, model, derivs, **kwargs)
-
-    monkeypatch.setattr(llgsip.effective_field, "array_central_difference", counted)
-    monkeypatch.setattr(llgsip.stepper, "explicit_field_apply", checked_field)
-    initial, params, _ = skyrmion_case()
+@pytest.mark.parametrize("lam", [1, -1])
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_field_and_energy_take_their_derivatives_in_any_scratch(boundary, lam, rng):
+    # the planar derivatives are the per-axis central differences; the field
+    # and the energy, given scratch that holds NaN, keep the bits of fresh
+    # calls; and every step reports the energy of its new state
+    model = FieldModel.extended(3.0, lam)
+    for counts in ((9, 7), (33, 32)):
+        grid = GridSpec(counts, (0.3, 0.4), boundary=boundary)
+        m = random_unit_field(grid, rng)
+        out = np.full((2, 3) + counts, np.nan)
+        assert planar_derivatives(m, out) is out
+        for axis in (0, 1):
+            assert bits(out[axis]) == bits(array_central_difference(grid, m.data, axis))
+        work = StepWorkspace(counts, 3)
+        work.krylov.fill(np.nan)
+        field = explicit_field_apply(m, model, out=work.fields[0], plane=work.plane,
+                                     scratch=work.krylov)
+        assert bits(field.data) == bits(explicit_field_apply(m, model).data)
+        work.krylov.fill(np.nan)
+        assert extended_energy(m, model, work.krylov) == extended_energy(m, model)
+    grid = GridSpec((32, 32), (0.2, 0.2), boundary=boundary)
+    initial = VectorField.from_function(grid, lambda x, y: skyrmion_initial(x, y, (3.1, 3.1)))
+    params = SchemeParams(beta=0.0, gamma=1.0, dt=0.05, model=model)
     energies = []
     run(initial, params, SolverConfig(), 4, callbacks=[
-        lambda rep, mp, mt, mn: energies.append(
-            (rep.energy, extended_energy(mn, params.model)))])
-    assert len(checked) == 4 and len(energies) == 4
-    assert all(shared == fresh for shared, fresh in energies)
-    # the checks above take two more per call; the run took 2 per state
-    assert len(differences) == 2 * 5 + 2 * 4 + 2 * 4
+        lambda report, m_prev, m_tilde, m_new: energies.append(
+            (report.energy, extended_energy(m_new, model)))])
+    assert len(energies) == 4
+    assert all(reported == fresh for reported, fresh in energies)
