@@ -38,9 +38,10 @@ class ErrorRecord:
     rate_l2_h1: float = None
 
 
-def convergence_rate(err_coarse, err_fine):
-    """log2 of the error ratio between successive dyadic levels."""
-    return math.log2(err_coarse / err_fine)
+def convergence_rate(err_coarse, err_fine, refinement=2):
+    """The order p of err ~ N^-p between levels whose node counts N differ
+    by the factor ``refinement`` (log2 of it is exactly 1.0 when dyadic)."""
+    return math.log2(err_coarse / err_fine) / math.log2(refinement)
 
 
 class ErrorAccumulator:
@@ -79,12 +80,14 @@ class ErrorAccumulator:
 
 
 def attach_rates(records):
-    """Fill in log2 rates between successive refinement levels, in place."""
+    """Fill in the rates between successive refinement levels, in place, by
+    the ratio of their node counts; a repeated level gets none."""
     for prev, cur in zip(records, records[1:]):
-        if prev.linf_l2 > 0 and cur.linf_l2 > 0:
-            cur.rate_linf_l2 = convergence_rate(prev.linf_l2, cur.linf_l2)
-        if prev.l2_h1 > 0 and cur.l2_h1 > 0:
-            cur.rate_l2_h1 = convergence_rate(prev.l2_h1, cur.l2_h1)
+        for norm in ("linf_l2", "l2_h1"):
+            coarse, fine = getattr(prev, norm), getattr(cur, norm)
+            if coarse > 0 and fine > 0 and cur.level != prev.level:
+                setattr(cur, f"rate_{norm}",
+                        convergence_rate(coarse, fine, cur.level / prev.level))
     return records
 
 

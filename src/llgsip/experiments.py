@@ -22,7 +22,7 @@ from .exact import manufactured_solution
 from .grid import VectorField
 from .io import (CSV_COLUMNS, ConfigError, ExperimentConfig, read_checkpoint, read_snapshot,
                  report_row, write_checkpoint, write_csv, write_snapshot)
-from .stepper import ENERGY_RISE, STEP_ERRORS, SchemeParams, SolverConfig, run
+from .stepper import ENERGY_RISE, STEP_ERRORS, SchemeParams, SolverConfig, ingest_initial, run
 
 
 def _ensure_out(config):
@@ -250,11 +250,16 @@ class SkyrmionResult:
         return self.steady and not self.violations
 
 
-def _require_grid(state, grid, path):
-    """A start state read from ``path`` must lie on the run's grid."""
+def _require_start(state, grid, path):
+    """A start state read from ``path`` must lie on the run's grid, with
+    the unit length that ``ingest_initial`` asks of it."""
     if state.grid != grid:
         raise ConfigError(f"{path}: the state lies on {state.grid}, not on the "
                           f"configured {grid}")
+    try:
+        ingest_initial(state)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
@@ -268,13 +273,15 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     start_index = 0
     if resume is not None:
         initial, t_start, start_index = read_checkpoint(resume, params)
-        _require_grid(initial, grid, resume)
+        _require_start(initial, grid, resume)
     elif config.mode == "Q0":
         if config.input_state is None:
             raise ConfigError("Q0 mode requires key 'input_state', a relaxed Q1 snapshot")
         n_state, _, _ = read_snapshot(config.input_state)
-        _require_grid(n_state, grid, config.input_state)
+        # the transform maps any node with n3 = 0 to a unit one, a zero node too
+        _require_start(n_state, grid, config.input_state)
         initial = VectorField(grid, exact_data.charge_zero_transform(n_state.data))
+        _require_start(initial, grid, config.input_state)
     else:
         center = tuple(0.5 * (lo + hi) for lo, hi in config.domain)
         initial = VectorField.from_function(
@@ -290,7 +297,7 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
     try:
         res = run(initial, params, SolverConfig(), budget, callbacks=[log],
                   steady_tol=config.steady_tol, t_start=t_start,
-                  start_index=start_index, override_unit_check=True)
+                  start_index=start_index)
     except STEP_ERRORS:
         # a failed step: keep the last good state for a resumed run
         if log.last is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,38 +229,6 @@ def _key(grid, axis, s):
     return (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
 
 
-def _flat(a):
-    """The C-contiguous array ``a`` as a flat view."""
-    if not a.flags.c_contiguous:
-        raise ValueError("an output of a stencil must be C-contiguous")
-    return a.reshape(-1)
-
-
-def _face(grid, values, axis, op, out=None):
-    """The face array op(upper, lower) of the node values on either side of
-    each face along ``axis``, into ``out`` (new if None).  The periodic wrap
-    face is filled from slices too, so no rolled copy of ``values`` is made;
-    on the last axis the periodic faces are one pass over the flattened
-    array, whose faces across the end of a row the wrap faces then replace."""
-    key = partial(_key, grid, axis)
-    upper, lower = values[key(slice(1, None))], values[key(slice(None, -1))]
-    if grid.boundary == NEUMANN:
-        return op(upper, lower, out=out)
-    face = np.empty_like(values, order="C") if out is None else out
-    if axis == grid.dim - 1:
-        flat = values.reshape(-1)
-        op(flat[1:], flat[:-1], out=_flat(face)[:-1])
-    else:
-        op(upper, lower, out=face[key(slice(None, -1))])
-    op(values[key(slice(0, 1))], values[key(slice(-1, None))], out=face[key(slice(-1, None))])
-    return face
-
-
-def _faces(grid, values, op):
-    """Per axis, the face array ``_face`` of op."""
-    return [_face(grid, values, a, op) for a in range(grid.dim)]
-
-
 @lru_cache(maxsize=64)
 def _neighbours(grid, axis):
     """(nodes, upper, lower) index keys covering spatial ``axis``, read in
@@ -274,22 +242,6 @@ def _neighbours(grid, axis):
     return tuple(tuple(_key(grid, axis, s) for s in keys) for keys in ranges)
 
 
-def array_gradient(grid, values):
-    """Per-axis face arrays of forward differences (f_{i+1} - f_i)/h."""
-    faces = _faces(grid, values, np.subtract)
-    for face, h in zip(faces, grid.spacing):
-        face /= h
-    return tuple(faces)
-
-
-def array_midpoint(grid, values):
-    """Per-axis face arrays of the means (f_{i+1} + f_i)/2."""
-    faces = _faces(grid, values, np.add)
-    for face in faces:
-        face *= 0.5
-    return tuple(faces)
-
-
 def _node_stencil(grid, values, axis, kernel, out):
     """kernel(upper, node, lower, out) at every node along ``axis``, into the
     C-contiguous ``out``.  On the last axis it is one pass over the
@@ -298,8 +250,10 @@ def _node_stencil(grid, values, axis, kernel, out):
     NumPy iterates no strided interior."""
     ranges = _neighbours(grid, axis)
     if axis == grid.dim - 1:
+        if not out.flags.c_contiguous:  # else its flat view would be a copy
+            raise ValueError("an output of a stencil must be C-contiguous")
         flat = values.reshape(-1)
-        kernel(flat[2:], flat[1:-1], flat[:-2], _flat(out)[1:-1])
+        kernel(flat[2:], flat[1:-1], flat[:-2], out.reshape(-1)[1:-1])
         ranges = ranges[1:]
     for nodes, hi, lo in ranges:
         kernel(values[hi], values[nodes], values[lo], out[nodes])
@@ -315,6 +269,36 @@ def _second_difference(upper, node, lower, out):
 
 def _difference(upper, node, lower, out):
     np.subtract(upper, lower, out=out)
+
+
+def _face(grid, values, axis, op, out=None):
+    """The face array op(upper, lower) of the node values on either side of
+    each face along ``axis``, into ``out`` (new if None, else C-contiguous).
+    On a Neumann grid, the interior faces; on a periodic grid, the
+    ``_node_stencil`` that stores face i+1/2 at node i, so the last face
+    crosses the wrap."""
+    if grid.boundary == NEUMANN:
+        return op(values[_key(grid, axis, slice(1, None))],
+                  values[_key(grid, axis, slice(None, -1))], out=out)
+    out = np.empty_like(values, order="C") if out is None else out
+    return _node_stencil(grid, values, axis,
+                         lambda upper, node, lower, face: op(upper, node, out=face), out)
+
+
+def array_gradient(grid, values):
+    """Per-axis face arrays of forward differences (f_{i+1} - f_i)/h."""
+    faces = tuple(_face(grid, values, a, np.subtract) for a in range(grid.dim))
+    for face, h in zip(faces, grid.spacing):
+        face /= h
+    return faces
+
+
+def array_midpoint(grid, values):
+    """Per-axis face arrays of the means (f_{i+1} + f_i)/2."""
+    faces = tuple(_face(grid, values, a, np.add) for a in range(grid.dim))
+    for face in faces:
+        face *= 0.5
+    return faces
 
 
 def array_laplacian(grid, values, out=None, term=None, scaled=True):
@@ -393,6 +377,29 @@ def _node_weights(grid):
     summation by parts exact for the reflection Laplacian.
     """
     return _trapezoid(grid.counts, range(grid.dim) if grid.boundary == NEUMANN else ())
+
+
+@lru_cache(maxsize=32)
+def _axis_eigenbasis(n, h, boundary):
+    """Eigenpairs (lam, V, V^-1) of the 1-D three-point Laplacian on one axis.
+
+    L is ``_node_stencil`` of ``_second_difference`` on the identity over
+    h^2, with the matvec's own ghost rule.  Its Neumann rows reflect, so L
+    is not symmetric; with the ``_trapezoid`` weights W (all ones on
+    periodic axes) W L is, and so is S = W^-1/2 (W L) W^-1/2 = W^1/2 L W^-1/2.
+    From S = U diag(lam) U^T with orthogonal U, V = W^-1/2 U and
+    V^-1 = U^T W^1/2.  One code path serves both boundaries and every n.
+    """
+    line = GridSpec((n, n), (h, h), boundary=boundary)
+    lap = _node_stencil(line, np.eye(n), 0, _second_difference, np.empty((n, n))) / h ** 2
+    w = _trapezoid((n,), (0,) if boundary == NEUMANN else ())
+    s = np.sqrt(w)
+    # W L and s_i s_j are both exactly symmetric, so S is too
+    lam, u = np.linalg.eigh(w[:, None] * lap / np.outer(s, s))
+    basis = (lam, u / s[:, None], u.T * s)
+    for arr in basis:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return basis
 
 
 @lru_cache(maxsize=64)

@@ -46,8 +46,8 @@ import numpy as np
 
 from .effective_field import (EXCHANGE_ONLY, EXTENDED, FieldModel, explicit_field_apply,
                               extended_energy)
-from .grid import (NEUMANN, GridMismatchError, VectorField, _cross, array_laplacian, carve,
-                   l2_norm)
+from .grid import (GridMismatchError, VectorField, _axis_eigenbasis, _cross, array_laplacian,
+                   carve, l2_norm)
 
 
 class SolverError(RuntimeError):
@@ -198,32 +198,6 @@ def _build_rhs(m_prev, params, t_new, work):
         f *= params.dt
         rhs += f
     return rhs
-
-
-@lru_cache(maxsize=32)
-def _axis_eigenbasis(n, h, boundary):
-    """Eigenpairs (lam, V, V^-1) of the 1-D three-point Laplacian on one axis.
-
-    Neumann rows reflect (m_{-1} = m_1), so the matrix L is not symmetric;
-    with the trapezoidal weights W (all ones on periodic axes) W L is, and
-    so is S = W^-1/2 (W L) W^-1/2 = W^1/2 L W^-1/2.  From S = U diag(lam) U^T
-    with orthogonal U, V = W^-1/2 U and V^-1 = U^T W^1/2.  One code path
-    serves both boundaries and every n.
-    """
-    eye = np.eye(n)
-    lap = (np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye) / h ** 2
-    w = np.ones(n)
-    if boundary == NEUMANN:
-        lap[0, -1] = lap[-1, 0] = 0.0
-        lap[0, 1] = lap[-1, -2] = 2.0 / h ** 2
-        w[0] = w[-1] = 0.5
-    s = np.sqrt(w)
-    # W L and s_i s_j are both exactly symmetric, so S is too
-    lam, u = np.linalg.eigh(w[:, None] * lap / np.outer(s, s))
-    basis = (lam, u / s[:, None], u.T * s)
-    for arr in basis:
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return basis
 
 
 @lru_cache(maxsize=32)
@@ -539,16 +513,14 @@ def step(m_prev: VectorField, params: SchemeParams, cfg: SolverConfig, t_new, st
     return m_new, m_tilde, report
 
 
-def ingest_initial(initial: VectorField, override=False):
-    """Renormalize near-unit input; reject anything farther off unless
-    overridden, and non-finite input always."""
-    if not np.all(np.isfinite(initial.data)):
-        raise ValueError("initial data is not finite")
+def ingest_initial(initial: VectorField):
+    """Renormalize near-unit input; reject input that is not finite or is
+    farther off, which a caller may ``normalize`` first (if finite)."""
     drift = float(np.max(np.abs(initial.pointwise_norm() - 1.0)))
-    if drift > 1e-12 and not override:
+    if not drift <= 1e-12:  # NaN too
         raise ValueError(
-            f"initial data is not pointwise unit length (max drift {drift:.3e}); "
-            "pass override to renormalize anyway"
+            f"initial data is not finite and of unit length at every node "
+            f"(max drift {drift:.3e})"
         )
     return normalize(initial), drift
 
@@ -581,8 +553,7 @@ def _extrapolated_start(history, k, m_new, out):
 
 
 def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: int,
-        callbacks=(), steady_tol=None, t_start=0.0, start_index=0,
-        override_unit_check=False):
+        callbacks=(), steady_tol=None, t_start=0.0, start_index=0):
     """Take ``n_steps`` steps of ``params.dt`` (fewer at steady state); step k
     ends at ``t_start`` + k*dt and is numbered ``start_index`` + k.
 
@@ -598,7 +569,7 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
     increments mt - m_prev.  All steps share one ``StepWorkspace`` and one
     ring of the last three increments, allocated here.
     """
-    state, _ = ingest_initial(initial, override=override_unit_check)
+    state, _ = ingest_initial(initial)
     time, index = t_start, start_index
     if n_steps > 0 and params.dt == 0:
         raise ValueError("time loop needs a positive dt")
@@ -616,7 +587,8 @@ def run(initial: VectorField, params: SchemeParams, cfg: SolverConfig, n_steps: 
         m_new, m_tilde, report = step(
             m_prev, params, cfg, t_new, step_index=start_index + k, x0=guess, work=work
         )
-        if not np.all(np.isfinite(m_new.data)):
+        # |m_new| at every node is in it, so it is finite iff m_new is
+        if not math.isfinite(report.max_length_error):
             raise FloatingPointError(
                 f"non-finite state detected at step {start_index + k}"
             )

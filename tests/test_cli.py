@@ -238,6 +238,32 @@ def test_non_finite_start_state_exits_with_config_error(tmp_path, capsys, source
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [0.0, 3.0], ids=["zero", "three"])
+@pytest.mark.parametrize("source", ["input_state", "resume"])
+def test_start_state_off_unit_length_exits_with_config_error(tmp_path, capsys, source,
+                                                             length):
+    # a zero node used to fail the first step (exit 3, an empty output
+    # directory), a long one to be renormalized without a word
+    out = tmp_path / "o"
+    cfg = skyrmion_cfg(tmp_path, out)
+    config = parse_config(cfg)
+    state = VectorField.constant(config.make_grid(), (0.0, 0.0, 1.0))
+    state.data[:, 3, 4] = (0.0, 0.0, length)
+    if source == "input_state":
+        path = tmp_path / "seed.txt"
+        write_snapshot(state, str(path))
+        extra = ["--override", "mode=Q0", "--override", f"input_state={path}"]
+    else:
+        path = tmp_path / "last.ckpt"
+        skyrmion_checkpoint(config, state, path)
+        extra = ["--resume", str(path)]
+    code = main(["skyrmion", "--config", cfg] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {path}: ") and "unit length" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change", [
     {"counts": (9, 9)}, {"spacing": (0.25, 0.25)}, {"origin": (0.1, 0.0)},
     {"boundary": "periodic"},

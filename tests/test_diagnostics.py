@@ -136,6 +136,20 @@ def test_convergence_rate_arithmetic():
     assert recs[1].rate_l2_h1 == pytest.approx(1.0)
 
 
+def test_rates_follow_the_node_count_ratio_of_non_dyadic_levels():
+    # errors C N^-2 at N = 8, 12, 16 are second order, though no level
+    # doubles the one before; a repeated level has no rate
+    from llgsip.diagnostics import ErrorRecord
+
+    recs = [ErrorRecord(level=n, linf_l2=3.0 / n ** 2, l2_h1=5.0 / n ** 2)
+            for n in (8, 12, 16, 16)]
+    attach_rates(recs)
+    for rec in recs[1:3]:
+        assert rec.rate_linf_l2 == pytest.approx(2.0, rel=1e-13)
+        assert rec.rate_l2_h1 == pytest.approx(2.0, rel=1e-13)
+    assert recs[3].rate_linf_l2 is None and recs[3].rate_l2_h1 is None
+
+
 # ---------------------------------------------------------------------------
 # skyrmion number
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from llgsip.grid import (
     PERIODIC,
     GridSpec,
     VectorField,
+    _axis_eigenbasis,
     _cross,
     array_central_difference,
     array_laplacian,
@@ -39,7 +40,6 @@ from llgsip.stepper import (
     StepWorkspace,
     _along_axis,
     _apply_operator,
-    _axis_eigenbasis,
     _extrapolated_start,
     _local_operator,
     _spectral_factors,
@@ -649,6 +649,33 @@ def test_gmres_rejects_a_workspace_that_does_not_fit(rng):
               work=krylov_workspace((10,), 4))
 
 
+def rolled_laplacian(n, h, boundary):
+    """The 1-D three-point Laplacian and its trapezoidal weights, written
+    out from a rolled identity, with the Neumann wall rows set by hand."""
+    eye = np.eye(n)
+    lap = (np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye) / h ** 2
+    w = np.ones(n)
+    if boundary == NEUMANN:
+        lap[0, -1] = lap[-1, 0] = 0.0
+        lap[0, 1] = lap[-1, -2] = 2.0 / h ** 2
+        w[0] = w[-1] = 0.5
+    return lap, w
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_axis_eigenbasis_is_the_rolled_reference_byte_for_byte(boundary):
+    # grid builds L from the matvec's node stencil; the eigenbasis of the
+    # hand-written matrix, symmetrized the same way, has the same bits
+    for n in [*range(2, 41), 64, 65, 128, 129, 257]:
+        for h in (1.0 / n, 0.3):
+            lap, w = rolled_laplacian(n, h, boundary)
+            s = np.sqrt(w)
+            lam, u = np.linalg.eigh(w[:, None] * lap / np.outer(s, s))
+            ref = (lam, u / s[:, None], u.T * s)
+            for got, want in zip(_axis_eigenbasis(n, h, boundary), ref):
+                assert got.tobytes() == want.tobytes(), (n, h)
+
+
 @pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
 @pytest.mark.parametrize("n", [2, 5, 65, 128])
 def test_axis_eigenbasis_matches_scipy_generalized_eigh(boundary, n):
@@ -658,13 +685,7 @@ def test_axis_eigenbasis_matches_scipy_generalized_eigh(boundary, n):
     h = 1.0 / n
     lam, vecs, inv = _axis_eigenbasis(n, h, boundary)
     assert np.max(np.abs(inv @ vecs - np.eye(n))) <= 1e-13
-    eye = np.eye(n)
-    lap = (np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye) / h ** 2
-    w = np.ones(n)
-    if boundary == NEUMANN:
-        lap[0, -1] = lap[-1, 0] = 0.0
-        lap[0, 1] = lap[-1, -2] = 2.0 / h ** 2
-        w[0] = w[-1] = 0.5
+    lap, w = rolled_laplacian(n, h, boundary)
     ref_lam, ref_vecs = scipy.linalg.eigh(w[:, None] * lap, np.diag(w))
     scale = np.max(np.abs(ref_lam))
     assert np.max(np.abs(lam - ref_lam)) <= 1e-13 * scale
@@ -811,14 +832,6 @@ def test_run_rejects_non_unit_initial(rng):
     f = random_field(grid, rng)
     with pytest.raises(ValueError):
         run(f, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), TIGHT, 1)
-    res = run(
-        f,
-        SchemeParams(beta=1.0, gamma=1.0, dt=0.1),
-        TIGHT,
-        1,
-        override_unit_check=True,
-    )
-    assert np.max(np.abs(res.state.pointwise_norm() - 1.0)) <= 1e-14
 
 
 def test_run_monotone_energy_and_callbacks():
@@ -969,15 +982,31 @@ def test_ingest_initial_reports_drift(rng):
     assert np.max(np.abs(state.pointwise_norm() - 1.0)) <= 1e-15
 
 
-@pytest.mark.parametrize("override", [False, True])
-def test_non_finite_initial_data_is_rejected(override, rng):
+def test_non_finite_initial_data_is_rejected(rng):
     m = random_unit_field(GridSpec((16, 16), (0.5, 0.5)), rng)
     m.data[1, 3, 5] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        ingest_initial(m, override=override)
+        ingest_initial(m)
     params = SchemeParams(beta=1.0, gamma=1.0, dt=0.1)
     with pytest.raises(ValueError, match="not finite"):
-        run(m, params, SolverConfig(), 2, override_unit_check=override)
+        run(m, params, SolverConfig(), 2)
+
+
+def test_run_rejects_a_non_finite_projection(rng, monkeypatch):
+    # run reads finiteness off the step's max_length_error: a NaN node of
+    # m_new must still stop the loop at the step that made it
+    project = llgsip.stepper.normalize
+
+    def nan_node(m_tilde, lengths=None):
+        m_new = project(m_tilde, lengths)
+        if lengths is not None:  # the step's projection, not ingest_initial's
+            m_new.data[2, 1, 3] = np.nan
+        return m_new
+
+    monkeypatch.setattr(llgsip.stepper, "normalize", nan_node)
+    m = random_unit_field(GridSpec((6, 6), (0.5, 0.5)), rng)
+    with pytest.raises(FloatingPointError, match="non-finite state detected at step 1$"):
+        run(m, SchemeParams(beta=1.0, gamma=1.0, dt=0.1), SolverConfig(), 3)
 
 
 # ---------------------------------------------------------------------------
