@@ -5,12 +5,15 @@ linear solve, so the model objects here only supply the *non-exchange* part
 of the effective field, evaluated explicitly at the previous state:
 
     exchange-only:  zero field
-    extended:       kappa*m3*e3
-                    - 2*lam*[D2 m3 e1 - D1 m3 e2 + (D1 m2 - D2 m1) e3]
+    extended:       H(m) = -kappa*(m1, m2, 0) - 2*lam*curl_h m,
+                    curl_h m = (D2 m3, -D1 m3, D1 m2 - D2 m1)
 
 with D1, D2 second-order central differences at the nodes.  The extended
-model is the planar thin-film setup with easy-axis anisotropy and a
-Dzyaloshinskii-Moriya term of chirality lam = +-1.
+model is the planar thin-film setup with easy-axis anisotropy, in its
+convex form, and a Dzyaloshinskii-Moriya term of chirality lam = +-1.  H is
+linear, and the energy it adds to the exchange energy is -<H m, m>/2.  On
+the unit sphere the anisotropy differs from kappa*m3*e3 by kappa*m, which
+the step's local operator annihilates.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def _require_2d(m):
 def planar_derivatives(m: VectorField, out=None):
     """(D1 m, D2 m): the central differences of all three components along
     the two planar axes, shape (2, 3) + counts, into ``out`` (new if None).
-    The DMI field, the DMI energy and the skyrmion number take them here."""
+    The DMI field and the skyrmion number take them here."""
     _require_2d(m)
     out = np.empty((2,) + m.data.shape) if out is None else out
     for axis in (0, 1):
@@ -91,14 +94,12 @@ def explicit_field_apply(m: VectorField, model: FieldModel, out=None, plane=None
     derivs, = carve(scratch, (2,) + m.data.shape)
     (_, d1m2, d1m3), (d2m1, _, d2m3) = planar_derivatives(m, derivs)
     out = np.empty((3,) + m.grid.counts) if out is None else out
-    two_lam = 2.0 * model.lam
-    # each component in the order of a sum onto zeros
-    np.subtract(0.0, np.multiply(two_lam, d2m3, out=out[0]), out=out[0])
-    np.add(0.0, np.multiply(two_lam, d1m3, out=out[1]), out=out[1])
-    np.multiply(model.kappa, m.data[2], out=out[2])
-    curl3 = np.subtract(d1m2, d2m1, out=plane)
-    curl3 *= two_lam
-    out[2] -= curl3
+    two_lam = 2.0 * model.lam  # -2 lam curl_h m, each product exact
+    np.multiply(-two_lam, d2m3, out=out[0])
+    np.multiply(two_lam, d1m3, out=out[1])
+    np.multiply(-two_lam, np.subtract(d1m2, d2m1, out=out[2]), out=out[2])
+    for i in (0, 1):
+        out[i] -= np.multiply(model.kappa, m.data[i], out=plane)
     return VectorField(m.grid, out)
 
 
@@ -107,46 +108,19 @@ def exchange_energy(m: VectorField, scratch=None) -> float:
     return 0.5 * grad_l2_norm(m, scratch) ** 2
 
 
-def dmi_energy(m: VectorField, lam, scratch=None) -> float:
-    """lam * sum_nodes (curl m) . m, weighted like the l2 inner product.
-
-    ``scratch`` (new arrays if None) takes m's ``planar_derivatives`` and
-    two planes.
-    """
-    m1, m2, m3 = m.data
-    counts = m.grid.counts
-    derivs, curl_dot_m, term = carve(scratch, (2,) + m.data.shape, counts, counts)
-    (_, d1m2, d1m3), (d2m1, _, d2m3) = planar_derivatives(m, derivs)
-    # planar curl: (D2 m3, -D1 m3, D1 m2 - D2 m1)
-    np.multiply(m1, d2m3, out=curl_dot_m)
-    curl_dot_m -= np.multiply(m2, d1m3, out=term)
-    term = np.subtract(d1m2, d2m1, out=term)
-    curl_dot_m += np.multiply(m3, term, out=term)
-    return float(lam * m.grid.cell_volume * node_sum(m.grid, curl_dot_m))
-
-
-def anisotropy_energy(m: VectorField, kappa, scratch=None) -> float:
-    """(kappa/2) * sum_nodes (m1^2 + m2^2); ``scratch`` (new arrays if None)
-    takes two planes."""
-    planar, term = carve(scratch, m.grid.counts, m.grid.counts)
-    np.square(m.data[0], out=planar)
-    planar += np.square(m.data[1], out=term)
-    return float(0.5 * kappa * m.grid.cell_volume * node_sum(m.grid, planar))
-
-
 def extended_energy(m: VectorField, model: FieldModel, scratch=None) -> float:
-    """Total discrete energy of the configured model.
-
-    Exchange-only reduces to the exchange energy.  The DMI/curl term uses
-    the same central differences as the explicit field, so field and energy
-    are consistent to second order (not an exact discrete gradient pair).
-    ``scratch`` (new arrays if None) holds every temporary in turn: the
-    face arrays of the exchange energy, 4/3 of ``m.data``, then the
-    ``planar_derivatives`` and two planes of the DMI energy, 8/3 of it.
+    """Total discrete energy of the configured model: the exchange energy,
+    and for the extended model -<H m, m>/2 of its ``explicit_field_apply``
+    H.  H is minus the energy's gradient only where it is symmetric in the
+    l2 inner product: on periodic grids, not at Neumann walls.  ``scratch``
+    (new arrays if None) holds every temporary in turn: the face arrays of
+    the exchange energy, 4/3 of ``m.data``, then the field, a plane and the
+    ``planar_derivatives``, 11/3 of it.
     """
     e = exchange_energy(m, scratch)
     if model.variant == EXCHANGE_ONLY:
         return e
-    e += anisotropy_energy(m, model.kappa, scratch)
-    e += dmi_energy(m, model.lam, scratch)
-    return e
+    field, plane, derivs = carve(scratch, m.data.shape, m.grid.counts, (2,) + m.data.shape)
+    h_dot_m = explicit_field_apply(m, model, field, plane, derivs).data
+    h_dot_m *= m.data
+    return e - 0.5 * m.grid.cell_volume * float(node_sum(m.grid, h_dot_m, out=plane))

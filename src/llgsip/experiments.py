@@ -177,10 +177,12 @@ def cmd_dissipate(config: ExperimentConfig, extra_callbacks=None) -> DissipateRe
         callbacks = [log]
         if extra_callbacks:
             callbacks.extend(extra_callbacks.get(gamma, ()))
-        run(initial, params, SolverConfig(), steps, callbacks=callbacks)
+        try:
+            run(initial, params, SolverConfig(), steps, callbacks=callbacks)
+        finally:  # a failed step keeps the rows of the steps before it
+            log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
         result.violations += [f"gamma={gamma:g}: {v}" for v in log.violations]
         result.energies[gamma] = log.series()
-        log.write(os.path.join(out, f"energy_gamma_{gamma:g}.csv"))
     return result
 
 
@@ -220,10 +222,12 @@ def cmd_blowup(config: ExperimentConfig) -> BlowupResult:
 
     snap(initial, 0.0, 0)
     log = _EnergyLog(initial, params.model, cadence=config.cadence)
-    run(initial, params, SolverConfig(), steps, callbacks=[
-        log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
-                                                          report.step_index)])
-    log.write(os.path.join(out, "blowup_energy.csv"))
+    try:
+        run(initial, params, SolverConfig(), steps, callbacks=[
+            log, lambda report, m_prev, m_tilde, m_new: snap(m_new, report.time,
+                                                              report.step_index)])
+    finally:  # a failed step keeps the rows of the steps before it
+        log.write(os.path.join(out, "blowup_energy.csv"))
     return BlowupResult(snapshots=snapshots, energies=log.series(), violations=log.violations)
 
 
@@ -304,6 +308,8 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
             report, state = log.last
             write_checkpoint(state, last_path, report.time, report.step_index, params)
         raise
+    finally:  # a failed step keeps the rows of the steps before it
+        log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     snap_path, binary = _snapshot_path(config, f"skyrmion_{tag}_relaxed")
     write_snapshot(res.state, snap_path, time=res.time, step=res.step, binary=binary)
     if not res.steady and res.step > start_index:
@@ -311,7 +317,6 @@ def cmd_skyrmion(config: ExperimentConfig, resume=None) -> SkyrmionResult:
         # from the bytes of a text snapshot of it
         write_checkpoint(res.state, last_path, res.time, res.step, params,
                          snapshot=None if binary else snap_path)
-    log.write(os.path.join(out, f"skyrmion_{tag}.csv"))
     charge = skyrmion_number(res.state)
     target = MODE_CHARGE[config.mode]
     if res.steady and abs(charge - target) > CHARGE_TOL:  # not checked out of budget

@@ -266,6 +266,11 @@ def _build_config(raw, resume):
     if cfg.experiment == "blowup" and not all(0 <= t <= cfg.t_end for t in cfg.snapshot_times):
         raise ConfigError(f"key 'snapshot_times': each must lie in [0, t_end = "
                           f"{cfg.t_end!r}], got {cfg.snapshot_times}")
+    for key in ("gammas", "snapshot_times"):  # each value names a file by its :g form
+        names = [f"{v:g}" for v in getattr(cfg, key)]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"{raw[key][1]}: key '{key}': two values name the same "
+                              f"output file, got {getattr(cfg, key)}")
     if cfg.experiment == "converge":  # its manufactured solution is 2*pi-periodic
         if cfg.boundary != PERIODIC:
             raise ConfigError(f"{raw['boundary'][1]}: key 'boundary': a converge run needs "

@@ -423,6 +423,22 @@ def test_horizon_errors_exit_with_config_error(tmp_path, capsys, command, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, override, key", [
+    ("blowup", "snapshot_times=0.3 0.30000001", "snapshot_times"),
+    ("dissipate", "gammas=1 1.0", "gammas"),
+])
+def test_values_naming_one_output_file_exit_with_config_error(tmp_path, capsys, command,
+                                                              override, key):
+    # both used to run: a snapshot or a CSV written over by its twin
+    out = tmp_path / "o"
+    cfg = str(CONFIG_DIR / ("blowup_smoke.cfg" if command == "blowup" else "dissipate.cfg"))
+    code = main([command, "--config", cfg, "--out", str(out), "--override", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"key '{key}'" in err
+    assert not out.exists()
+
+
 # small grids and budgets, so that an input let through fails fast
 SHIPPED_BASE = {
     "skyrmion_q1_smoke": ["grid=16 16", "max_steps=2"],
@@ -589,6 +605,18 @@ def test_out_of_budget_skyrmion_renders_its_state_once(tmp_path, monkeypatch,
         assert step == 2 and field.data.tobytes() == snap.data.tobytes()
 
 
+def fail_from_step_3(monkeypatch, error):
+    """Make every solve after the second step of a run raise ``error``."""
+    solve = stepper.solve_intermediate
+
+    def failing(m_prev, params, cfg, t_new, **kwargs):
+        if t_new > 2.5 * params.dt:
+            raise error
+        return solve(m_prev, params, cfg, t_new, **kwargs)
+
+    monkeypatch.setattr(stepper, "solve_intermediate", failing)
+
+
 @pytest.mark.parametrize(
     "error", [stepper.SolverError("no convergence", []),
               stepper.DegenerateStateError("zero node"), FloatingPointError("nan")],
@@ -599,14 +627,7 @@ def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch,
     failed, ref = tmp_path / "failed", tmp_path / "ref"
     cfg = skyrmion_cfg(tmp_path, failed)
     assert main(["skyrmion", "--config", cfg, "--out", str(ref)]) == 1  # 2 steps
-    solve = stepper.solve_intermediate
-
-    def fail_at_step_3(m_prev, params, cfg, t_new, **kwargs):
-        if t_new > 2.5 * params.dt:
-            raise error
-        return solve(m_prev, params, cfg, t_new, **kwargs)
-
-    monkeypatch.setattr(stepper, "solve_intermediate", fail_at_step_3)
+    fail_from_step_3(monkeypatch, error)
     capsys.readouterr()
     assert main(["skyrmion", "--config", cfg, "--override", "max_steps=5"]) == 3
     assert capsys.readouterr().err == f"solver error: {error}\n"
@@ -618,6 +639,26 @@ def test_failed_skyrmion_step_checkpoints_last_good_state(tmp_path, monkeypatch,
     expected, ref_time, _ = read_checkpoint(ref / "skyrmion_q1_last.ckpt", params)
     assert step == 2 and time == ref_time
     assert state.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("command", ["dissipate", "blowup", "skyrmion"])
+def test_failed_step_keeps_the_csv_of_the_steps_before_it(tmp_path, monkeypatch, capsys,
+                                                           command):
+    # each used to exit 3 without its CSV, and dissipate with no output at all
+    out = tmp_path / "o"
+    if command == "dissipate":
+        argv, csv_name = ["--config", dissipate_cfg(tmp_path, out)], "energy_gamma_0.5.csv"
+    elif command == "blowup":
+        argv = ["--config", str(CONFIG_DIR / "blowup_smoke.cfg"), "--out", str(out)]
+        csv_name = "blowup_energy.csv"
+    else:
+        argv = ["--config", skyrmion_cfg(tmp_path, out), "--override", "max_steps=5"]
+        csv_name = "skyrmion_q1.csv"
+    fail_from_step_3(monkeypatch, stepper.SolverError("no convergence", []))
+    assert main([command] + argv) == 3
+    assert capsys.readouterr().err == "solver error: no convergence\n"
+    last_row = (out / csv_name).read_text().splitlines()[-1]
+    assert last_row.split(",")[0] == "2"
 
 
 def steady_state(charge):

@@ -6,11 +6,10 @@ import pytest
 from llgsip.effective_field import (
     FieldModel,
     UnsupportedConfigurationError,
-    anisotropy_energy,
-    dmi_energy,
     exchange_energy,
     explicit_field_apply,
     extended_energy,
+    planar_derivatives,
 )
 from llgsip.exact import blowup_initial
 from llgsip.grid import NEUMANN, PERIODIC, GridSpec, VectorField
@@ -19,12 +18,28 @@ from conftest import at, central_difference, node_weight, random_unit_field
 
 
 def test_uniform_state_gives_pure_anisotropy_field():
+    # the convex form -kappa (m1, m2, 0): zero at the easy axis
     grid = GridSpec((8, 8), (0.3, 0.3))
-    m = VectorField.constant(grid, (0.0, 0.0, 1.0))
     model = FieldModel.extended(kappa=3.0, lam=1)
-    h = explicit_field_apply(m, model)
-    assert np.allclose(h.data, VectorField.constant(grid, (0.0, 0.0, 3.0)).data,
-                       atol=1e-15, rtol=0)
+    for m, expected in (((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+                        ((0.6, 0.0, 0.8), (-1.8, 0.0, 0.0))):
+        h = explicit_field_apply(VectorField.constant(grid, m), model)
+        assert np.allclose(h.data, VectorField.constant(grid, expected).data,
+                           atol=1e-15, rtol=0)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_field_differs_from_the_sphere_form_by_kappa_m(boundary, rng):
+    # H + kappa m is the field kappa m3 e3 - 2 lam curl_h m, written out here
+    grid = GridSpec((9, 7), (0.3, 0.3), boundary=boundary)
+    m = random_unit_field(grid, rng)
+    (_, d1m2, d1m3), (d2m1, _, d2m3) = planar_derivatives(m)
+    for lam in (1, -1):
+        model = FieldModel.extended(kappa=3.0, lam=lam)
+        sphere_form = np.stack((-2 * lam * d2m3, 2 * lam * d1m3,
+                                3.0 * m.data[2] - 2 * lam * (d1m2 - d2m1)))
+        shifted = explicit_field_apply(m, model).data + 3.0 * m.data
+        assert np.max(np.abs(shifted - sphere_form)) <= 1e-15 * np.max(np.abs(sphere_form))
 
 
 def test_exchange_only_field_is_zero(rng):
@@ -88,13 +103,26 @@ def test_uniform_up_state_has_zero_energy():
 def test_energy_degenerates_to_exchange(rng):
     grid = GridSpec((8, 8), (0.3, 0.3))
     m = random_unit_field(grid, rng)
-    model = FieldModel.extended(kappa=0.0, lam=1)
-    # lam enters only through the curl term, which need not vanish; compare
-    # the decomposed pieces instead
-    assert anisotropy_energy(m, 0.0) == 0.0
-    assert extended_energy(m, model) - dmi_energy(m, 1) == pytest.approx(
-        exchange_energy(m), rel=1e-14
-    )
+    assert extended_energy(m, FieldModel.exchange_only()) == exchange_energy(m)
+    # at kappa = 0 only the curl term is left, which need not vanish but is
+    # odd in lam; the two chiralities average to the exchange energy
+    plus, minus = (extended_energy(m, FieldModel.extended(kappa=0.0, lam=lam))
+                   for lam in (1, -1))
+    assert 0.5 * (plus + minus) == pytest.approx(exchange_energy(m), rel=1e-14)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, NEUMANN])
+def test_non_exchange_energy_is_quadratic(boundary, rng):
+    # off the sphere too: no term leans on |v| = 1, as kappa/2 (1 - v3^2) would
+    grid = GridSpec((9, 7), (0.3, 0.3), boundary=boundary)
+    v = VectorField(grid, rng.standard_normal((3,) + grid.counts))
+    model = FieldModel.extended(kappa=3.0, lam=1)
+
+    def non_exchange(f):
+        return extended_energy(f, model) - exchange_energy(f)
+
+    doubled = VectorField(grid, 2.0 * v.data)
+    assert non_exchange(doubled) == pytest.approx(4.0 * non_exchange(v), rel=1e-14)
 
 
 def test_extended_energy_matches_quadrature_oracle():
@@ -146,9 +174,11 @@ def test_dmi_and_anisotropy_energies_match_per_node_loop(boundary, rng):
         dmi += term
         dmi_scale += abs(term)
     vol = grid.cell_volume
-    assert anisotropy_energy(m, 3.0) == pytest.approx(0.5 * 3.0 * vol * aniso, rel=1e-13)
-    for lam in (1, -1):
-        assert abs(dmi_energy(m, lam) - lam * vol * dmi) <= 1e-13 * vol * dmi_scale
+    # the anisotropy is even in lam and the curl term odd
+    plus, minus = (extended_energy(m, FieldModel.extended(kappa=3.0, lam=lam))
+                   - exchange_energy(m) for lam in (1, -1))
+    assert 0.5 * (plus + minus) == pytest.approx(0.5 * 3.0 * vol * aniso, rel=1e-13)
+    assert abs(0.5 * (plus - minus) - vol * dmi) <= 1e-13 * vol * dmi_scale
 
 
 def test_translation_equivariance(rng):
@@ -166,12 +196,12 @@ def test_chirality_flip_negates_dmi_only(rng):
     m = random_unit_field(grid, rng)
     plus = FieldModel.extended(kappa=2.0, lam=1)
     minus = FieldModel.extended(kappa=2.0, lam=-1)
-    assert dmi_energy(m, 1) == pytest.approx(-dmi_energy(m, -1), rel=1e-14)
     f_plus = explicit_field_apply(m, plus).data
     f_minus = explicit_field_apply(m, minus).data
     aniso = np.zeros_like(f_plus)
-    aniso[2] = 2.0 * m.data[2]
+    aniso[:2] = -2.0 * m.data[:2]
     assert np.max(np.abs((f_plus - aniso) + (f_minus - aniso))) <= 1e-13
-    assert extended_energy(m, plus) - dmi_energy(m, 1) == pytest.approx(
-        extended_energy(m, minus) - dmi_energy(m, -1), rel=1e-13
-    )
+    # the curl terms cancel, and the anisotropy energy is left twice over
+    aniso_energy = 0.5 * 2.0 * grid.cell_volume * np.sum(m.data[:2] ** 2)
+    assert extended_energy(m, plus) + extended_energy(m, minus) - 2 * exchange_energy(m) \
+        == pytest.approx(2 * aniso_energy, rel=1e-13)
